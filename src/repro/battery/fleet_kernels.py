@@ -99,9 +99,19 @@ class KiBaMFleetState:
         # (deliverable/acceptable power) key on it so schemes can ask
         # several times per tick without recomputing.
         self._version = 0
-        self._max_discharge_cache: "tuple[float, int, np.ndarray] | None" = None
+        # (dt, version, limit, y1 * exp(-k dt)): the product is also the
+        # first term of the step from the same state.
+        self._max_discharge_cache: (
+            "tuple[float, int, np.ndarray, np.ndarray] | None"
+        ) = None
         self._max_charge_cache: "tuple[float, int, np.ndarray] | None" = None
-        self._soc_cache: "tuple[int, np.ndarray] | None" = None
+        # (version, total charge, SOC or None): one memo for both, since
+        # the SOC is the total charge over the capacity.
+        self._soc_cache: (
+            "tuple[int, np.ndarray, np.ndarray | None] | None"
+        ) = None
+        # (dt, coefficient vectors): see :meth:`_coefficients`.
+        self._coeff_cache: "tuple[float, tuple] | None" = None
         self.reset()
 
     # ------------------------------------------------------------------ #
@@ -123,8 +133,19 @@ class KiBaMFleetState:
 
     @property
     def charge_j(self) -> np.ndarray:
-        """Per-rack total stored charge (both wells) in joules."""
-        return self._y1 + self._y2
+        """Per-rack total stored charge (both wells) in joules.
+
+        Memoised until the next state change, and read-only: the same
+        array feeds the deliverable and acceptable power, the step and
+        the SOC of one state.
+        """
+        cached = self._soc_cache
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        charge = self._y1 + self._y2
+        charge.flags.writeable = False
+        self._soc_cache = (self._version, charge, None)
+        return charge
 
     @property
     def available_j(self) -> np.ndarray:
@@ -143,16 +164,45 @@ class KiBaMFleetState:
         Memoised until the next state change — treat the result as
         read-only.
         """
+        charge = self.charge_j
         cached = self._soc_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        soc = (self._y1 + self._y2) / self._capacity_j
-        self._soc_cache = (self._version, soc)
+        if cached[2] is not None:
+            return cached[2]
+        soc = charge / self._capacity_j
+        self._soc_cache = (self._version, charge, soc)
         return soc
 
     # ------------------------------------------------------------------ #
     # Physics                                                             #
     # ------------------------------------------------------------------ #
+
+    def _coefficients(self, dt: float) -> tuple:
+        """The step's scalar coefficients for ``dt``, as per-rack vectors.
+
+        Returns ``(coeff_b, vectors)``: the scalar ``coeff_b`` of
+        :meth:`max_discharge_power`, and the vectors ``e``, ``1 - e``,
+        ``k``, ``c``, ``1 - c``, ``shape``, ``coeff_b`` and ``0.0``, with
+        ``e = exp(-k dt)`` and ``shape = (k dt - 1 + e) / k``. numpy
+        takes a Python-float operand through a slower path than an
+        array of the same length; either way every element meets the
+        same operation on the same two values, so the results are
+        bit-identical. Memoised per ``dt``.
+        """
+        cached = self._coeff_cache
+        if cached is not None and cached[0] == dt:
+            return cached[1]
+        k, c = self._k, self._c
+        e = math.exp(-k * dt)
+        shape = (k * dt - 1.0 + e) / k
+        coeff_b = (1.0 - e) / k + c * (k * dt - 1.0 + e) / k
+        racks = self._y1.size
+        vectors = tuple(
+            np.full(racks, value)
+            for value in (e, 1.0 - e, k, c, 1.0 - c, shape, coeff_b, 0.0)
+        )
+        coefficients = (coeff_b, vectors)
+        self._coeff_cache = (dt, coefficients)
+        return coefficients
 
     def max_discharge_power(self, dt: float) -> np.ndarray:
         """Per-rack largest constant draw sustainable for ``dt`` seconds.
@@ -160,20 +210,21 @@ class KiBaMFleetState:
         Memoised until the next state change — treat the result as
         read-only.
         """
-        check_step_args(0.0, dt)
         cached = self._max_discharge_cache
         if cached is not None and cached[0] == dt and cached[1] == self._version:
             return cached[2]
-        k, c = self._k, self._c
-        e = math.exp(-k * dt)
-        y0 = self._y1 + self._y2
-        coeff_a = self._y1 * e + y0 * c * (1.0 - e)
-        coeff_b = (1.0 - e) / k + c * (k * dt - 1.0 + e) / k
+        check_step_args(0.0, dt)
+        coeff_b, (e, one_minus_e, _, c, _, _, coeff_b_v, zero) = (
+            self._coefficients(dt)
+        )
+        y0 = self.charge_j
+        y1_e = self._y1 * e
+        coeff_a = y1_e + y0 * c * one_minus_e
         if coeff_b <= 0.0:
             limit = np.zeros(len(self))
         else:
-            limit = np.maximum(0.0, coeff_a / coeff_b)
-        self._max_discharge_cache = (dt, self._version, limit)
+            limit = np.maximum(zero, coeff_a / coeff_b_v)
+        self._max_discharge_cache = (dt, self._version, limit, y1_e)
         return limit
 
     def max_charge_power(self, dt: float) -> np.ndarray:
@@ -182,10 +233,10 @@ class KiBaMFleetState:
         Memoised until the next state change — treat the result as
         read-only.
         """
-        check_step_args(0.0, dt)
         cached = self._max_charge_cache
         if cached is not None and cached[0] == dt and cached[1] == self._version:
             return cached[2]
+        check_step_args(0.0, dt)
         headroom_j = self._capacity_j - self.charge_j
         limit = np.maximum(0.0, headroom_j / dt)
         self._max_charge_cache = (dt, self._version, limit)
@@ -202,29 +253,34 @@ class KiBaMFleetState:
         """
         if dt <= 0.0:
             raise BatteryError(f"time step must be positive, got {dt}")
-        k, c = self._k, self._c
-        e = math.exp(-k * dt)
-        y0 = self._y1 + self._y2
-        shape = (k * dt - 1.0 + e) / k
+        _, (e, one_minus_e, k, c, one_minus_c, shape, _, zero) = (
+            self._coefficients(dt)
+        )
+        y0 = self.charge_j
+        cached = self._max_discharge_cache
+        if cached is not None and cached[0] == dt and cached[1] == self._version:
+            y1_e = cached[3]
+        else:
+            y1_e = self._y1 * e
         y1_new = (
-            self._y1 * e
-            + (y0 * k * c - power_w) * (1.0 - e) / k
+            y1_e
+            + (y0 * k * c - power_w) * one_minus_e / k
             - power_w * c * shape
         )
         y2_new = (
             self._y2 * e
-            + y0 * (1.0 - c) * (1.0 - e)
-            - power_w * (1.0 - c) * shape
+            + y0 * one_minus_c * one_minus_e
+            - power_w * one_minus_c * shape
         )
         # Clip to physical bounds, exactly as the scalar kernel does.
-        self._y1 = np.minimum(np.maximum(y1_new, 0.0), self._cap_available)
-        self._y2 = np.minimum(np.maximum(y2_new, 0.0), self._cap_bound)
+        self._y1 = np.minimum(np.maximum(y1_new, zero), self._cap_available)
+        self._y2 = np.minimum(np.maximum(y2_new, zero), self._cap_bound)
         self._version += 1
 
     def discharge(self, power_w: np.ndarray, dt: float) -> np.ndarray:
         """Draw up to ``power_w`` per rack; return power delivered."""
         power = np.asarray(power_w, dtype=float)
-        if np.any(power < 0.0):
+        if (power < 0.0).any():
             raise BatteryError("power must be non-negative")
         delivered = np.minimum(power, self.max_discharge_power(dt))
         delivered = np.maximum(delivered, 0.0)
@@ -234,7 +290,7 @@ class KiBaMFleetState:
     def charge(self, power_w: np.ndarray, dt: float) -> np.ndarray:
         """Push up to ``power_w`` per rack; return power actually stored."""
         power = np.asarray(power_w, dtype=float)
-        if np.any(power < 0.0):
+        if (power < 0.0).any():
             raise BatteryError("power must be non-negative")
         requested = np.minimum(power, self.max_charge_power(dt))
         before = self.charge_j
@@ -257,9 +313,9 @@ class KiBaMFleetState:
         fractions = np.asarray(fade, dtype=float)
         if fractions.shape != self._y1.shape:
             raise BatteryError("need one fade fraction per rack")
-        if np.any((fractions < 0.0) | (fractions >= 1.0)):
+        if ((fractions < 0.0) | (fractions >= 1.0)).any():
             raise BatteryError("capacity fade must be in [0, 1)")
-        if not bool(np.any(fractions > 0.0)):
+        if not (fractions > 0.0).any():
             return
         self._capacity_j = self._capacity_j * (1.0 - fractions)
         self._cap_available = self._c * self._capacity_j
@@ -370,7 +426,7 @@ class VectorBatteryFleet:
 
     def charge_vector_j(self) -> np.ndarray:
         """Per-rack stored energy in joules."""
-        return self._cells.charge_j
+        return self._cells.charge_j.copy()
 
     def capacity_j_vector(self) -> np.ndarray:
         """Per-rack (possibly faded) capacity in joules."""
@@ -453,7 +509,7 @@ class VectorBatteryFleet:
         read-only.
         """
         memo = self._max_discharge_memo
-        if memo is not None and memo[0] == dt and memo[1] == self._cells.version:
+        if memo is not None and memo[0] == dt and memo[1] == self._cells._version:
             return memo[2]
         check_step_args(0.0, dt)
         limit = np.minimum(
@@ -470,7 +526,7 @@ class VectorBatteryFleet:
         read-only.
         """
         memo = self._max_charge_memo
-        if memo is not None and memo[0] == dt and memo[1] == self._cells.version:
+        if memo is not None and memo[0] == dt and memo[1] == self._cells._version:
             return memo[2]
         check_step_args(0.0, dt)
         bus_limit = (
@@ -494,12 +550,13 @@ class VectorBatteryFleet:
         absorb through the efficiency-lossy path, idle racks rest (KiBaM
         recovery still proceeds), and a rack asked to do both raises.
         """
-        racks = len(self)
+        cells = self._cells
+        disconnected = self._disconnected
+        racks = disconnected.size
         out = np.asarray(discharge_w, dtype=float)
         inn = np.asarray(charge_w, dtype=float)
         if out.shape != (racks,) or inn.shape != (racks,):
             raise BatteryError("power vectors must have one entry per rack")
-        disconnected = self._disconnected
         discharging = out > 0.0
         charging = inn > 0.0
         any_out = bool(discharging.any())
@@ -511,12 +568,18 @@ class VectorBatteryFleet:
                 raise BatteryError(
                     f"rack {rack}: cannot charge and discharge in the same step"
                 )
+        # With every pack connected the LVD masks below are all-false.
+        any_disconnected = bool(disconnected.any())
 
         # Discharge path: the pack clamps to its C-rate ceiling, then the
         # cell clamps to its deliverable power; an LVD-open pack rests.
         if any_out:
-            live_discharge = discharging & ~disconnected
-            cell_limit = self._cells.max_discharge_power(dt)
+            live_discharge = (
+                discharging & ~disconnected
+                if any_disconnected
+                else discharging
+            )
+            cell_limit = cells.max_discharge_power(dt)
             requested_out = np.minimum(out, self._config.max_discharge_w)
             delivered = np.where(
                 live_discharge, np.minimum(requested_out, cell_limit), 0.0
@@ -534,27 +597,27 @@ class VectorBatteryFleet:
             cell_request = np.where(
                 charging,
                 np.minimum(
-                    bus_power * efficiency, self._cells.max_charge_power(dt)
+                    bus_power * efficiency, cells.max_charge_power(dt)
                 ),
                 0.0,
             )
-            before_j = self._cells.charge_j
-            self._cells.step(delivered - cell_request, dt)
-            stored = (self._cells.charge_j - before_j) / dt
+            before_j = cells.charge_j
+            cells.step(delivered - cell_request, dt)
+            stored = (cells.charge_j - before_j) / dt
             accepted = np.where(charging, stored / efficiency, 0.0)
             self._charged_j += accepted * dt
         else:
-            self._cells.step(delivered, dt)
+            cells.step(delivered, dt)
             accepted = None
 
         if any_out:
             self._discharged_j += delivered * dt
         # The scalar pack skips its LVD update on the discharge-while-
         # disconnected path (the cell only rests); mirror that.
-        if any_out and bool(disconnected.any()):
-            self._update_lvd(~(discharging & disconnected))
+        if any_out and any_disconnected:
+            self._update_lvd(~(discharging & disconnected), True)
         else:
-            self._update_lvd(None)
+            self._update_lvd(None, any_disconnected)
 
         if self._keep_log:
             charge_tuple = (
@@ -572,12 +635,26 @@ class VectorBatteryFleet:
             )
         return delivered
 
-    def _update_lvd(self, mask: "np.ndarray | None") -> None:
+    def _update_lvd(
+        self, mask: "np.ndarray | None", any_disconnected: bool
+    ) -> None:
         """Open/close the per-rack disconnect from the current SOC.
 
         ``mask`` limits which racks may change state; ``None`` means all.
+        ``any_disconnected`` is ``self._disconnected.any()``, which the
+        caller has already evaluated.
         """
         soc = self._cells.soc
+        if not any_disconnected:
+            # Every pack is connected: nothing can close, and the
+            # general update below reduces to the threshold test.
+            opening = soc <= self._config.lvd_soc
+            if mask is not None:
+                opening &= mask
+            if opening.any():
+                self._disconnected = opening
+                self._deep_discharge_events += opening
+            return
         opening = ~self._disconnected & (soc <= self._config.lvd_soc)
         closing = self._disconnected & (
             soc >= self._config.lvd_soc + _RECONNECT_HYSTERESIS
@@ -603,8 +680,8 @@ class VectorBatteryFleet:
         fractions = np.asarray(fade, dtype=float)
         self._cells.apply_capacity_fade(fractions)
         faded = fractions > 0.0
-        if bool(np.any(faded)):
-            self._update_lvd(faded)
+        if faded.any():
+            self._update_lvd(faded, bool(self._disconnected.any()))
 
     def ff_state(self) -> dict:
         """Evolving state for the fast-forward fingerprint (cells, LVD
@@ -723,12 +800,13 @@ class SupercapFleetState:
             asked, np.minimum(excess, self.max_discharge_power(dt)), 0.0
         )
         fired = delivered > 0.0
+        delivered_j = delivered * dt
         drained = np.maximum(
-            self._charge_j - delivered * dt / self._config.efficiency, 0.0
+            self._charge_j - delivered_j / self._config.efficiency, 0.0
         )
         self._charge_j = np.where(fired, drained, self._charge_j)
         self._shave_events += fired
-        self._shaved_j += delivered * dt
+        self._shaved_j += delivered_j
         self._full = False
         return delivered
 
@@ -740,10 +818,10 @@ class SupercapFleetState:
         # A full bank has zero charge headroom, so ``accepted`` would be
         # identically zero and ``filled`` equal to the current charge —
         # skipping the array work is exact.
-        if self._full or not (headroom > 0.0).any():
+        asked = None if self._full else headroom > 0.0
+        if asked is None or not asked.any():
             check_step_args(0.0, dt)
             return np.zeros_like(headroom)
-        asked = headroom > 0.0
         accepted = np.where(
             asked, np.minimum(headroom, self.max_charge_power(dt)), 0.0
         )

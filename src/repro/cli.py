@@ -27,6 +27,7 @@ import sys
 from .attack.scenario import standard_scenarios
 from .attack.virus import VirusKind
 from .defense import SCHEMES
+from .errors import ReproError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -1083,7 +1084,12 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A library error (:class:`~repro.errors.ReproError`, e.g. a window that
+    ends before it starts) prints one ``repro: error: <message>`` line to
+    stderr and returns 2, the exit code argparse uses for bad arguments.
+    """
     args = _build_parser().parse_args(argv)
     handlers = {
         "survive": _cmd_survive,
@@ -1094,7 +1100,11 @@ def main(argv: "list[str] | None" = None) -> int:
         "search": _cmd_search,
         "tune": _cmd_tune,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ReproError as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ class VisiblePeakReport:
     @property
     def any_peak(self) -> bool:
         """True when any rack shows a visible peak (the VP>0 input)."""
-        return bool(np.any(self.over_limit))
+        return bool(self.over_limit.any())
 
 
 class VisiblePeakDetector:

@@ -216,7 +216,7 @@ class VectorUdebShaver:
     @property
     def min_soc(self) -> float:
         """Lowest per-rack SOC — the policy engine's uDEB-health input."""
-        return float(np.min(self._state.soc_vector()))
+        return float(self._state.soc_vector().min())
 
     @property
     def pool_soc(self) -> float:

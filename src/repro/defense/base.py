@@ -273,6 +273,9 @@ class DefenseScheme:
         # publishes (RideThroughEngaged / ReserveBreached).
         self._ride_engaged = np.zeros(racks, dtype=bool)
         self._reserve_breached = np.zeros(racks, dtype=bool)
+        # False only while both edge-state arrays are known all-false,
+        # so steps without a grid input skip clearing them.
+        self._grid_edges_live = False
         # The sensor boundary: every metered/sensed quantity the software
         # plane consumes flows through here, so telemetry faults have one
         # choke point and staleness one definition.
@@ -299,12 +302,15 @@ class DefenseScheme:
             return np.zeros(self.ctx.cluster.racks)
         return np.maximum(0.0, state.rack_demand_w - self.soft_limits_w)
 
-    def after_battery(self, state: StepState, residual_w: np.ndarray
+    def after_battery(self, state: StepState,
+                      residual_w: "np.ndarray | None"
                       ) -> "tuple[np.ndarray, np.ndarray]":
         """uDEB stage: shave ``residual_w`` (excess the batteries missed).
 
         Returns ``(udeb_discharge_w, udeb_charge_w)``; the base class has
-        no supercaps and returns zeros.
+        no supercaps and returns zeros without reading ``residual_w``
+        (``dispatch`` passes ``None`` to this hook instead of computing
+        the residual).
         """
         zeros = np.zeros(self.ctx.cluster.racks)
         return zeros, zeros
@@ -316,8 +322,6 @@ class DefenseScheme:
         when capping is enabled.
         """
         if self.uses_capping:
-            from ..sim.events import CappingChanged
-
             if state.telemetry_stale:
                 # Frozen meter averages can neither justify new capping
                 # nor safely release it — hold state until telemetry
@@ -348,6 +352,10 @@ class DefenseScheme:
                 capped = controller.step(over_list[rack], state.dt)
                 busy = busy or capped or controller.is_pending
                 if capped != was_capped[rack]:
+                    # Imported here, where an event is published: the
+                    # sim package imports this module.
+                    from ..sim.events import CappingChanged
+
                     self.bus.publish(CappingChanged(
                         time_s=state.time_s, rack_id=rack, capped=capped,
                     ))
@@ -446,8 +454,12 @@ class DefenseScheme:
         )
         delivered = self.fleet.step(request, charge, state.dt, state.time_s)
 
-        local_need = np.maximum(0.0, state.rack_demand_w - limits)
-        residual = np.maximum(0.0, local_need - delivered)
+        if type(self).after_battery is DefenseScheme.after_battery:
+            # The base hook returns zeros without reading the residual.
+            residual = None
+        else:
+            local_need = np.maximum(0.0, state.rack_demand_w - limits)
+            residual = np.maximum(0.0, local_need - delivered)
         udeb_w, udeb_charge_w = self.after_battery(state, residual)
 
         return Dispatch(
@@ -618,10 +630,7 @@ class DefenseScheme:
             sc_state._full = bool(sc_flags[0])
         # _publish_grid_transitions with ride and defense cap both None
         # reduces to clearing any leftover rising-edge state.
-        if self._ride_engaged.any():
-            self._ride_engaged[:] = False
-        if self._reserve_breached.any():
-            self._reserve_breached[:] = False
+        self._clear_grid_edges()
         if udeb_mode == 2:
             udeb_w, udeb_charge_w = self.after_battery(state, out_residual)
         else:
@@ -649,6 +658,10 @@ class DefenseScheme:
         1200. State arrays reset when the condition clears so the next
         disturbance publishes fresh edges.
         """
+        if ride is None and defense_cap_w is None:
+            self._clear_grid_edges()
+            return
+        self._grid_edges_live = True
         if ride is not None:
             engaged = ride > 0.0
             rising = engaged & ~self._ride_engaged
@@ -687,6 +700,16 @@ class DefenseScheme:
             self._reserve_breached = breached
         elif self._reserve_breached.any():
             self._reserve_breached[:] = False
+
+    def _clear_grid_edges(self) -> None:
+        """Reset the rising-edge state once no grid input is present."""
+        if not self._grid_edges_live:
+            return
+        if self._ride_engaged.any():
+            self._ride_engaged[:] = False
+        if self._reserve_breached.any():
+            self._reserve_breached[:] = False
+        self._grid_edges_live = False
 
     # ------------------------------------------------------------------ #
     # Fast-forward support                                                 #
@@ -727,4 +750,5 @@ class DefenseScheme:
         self._cap_busy = False
         self._ride_engaged[:] = False
         self._reserve_breached[:] = False
+        self._grid_edges_live = False
         self.telemetry.reset()

@@ -213,6 +213,10 @@ class PadScheme(VdebScheme):
                 required += float(sag_over[drained].sum())
                 per_rack = self.ctx.cluster.config.rack.servers
                 prefer = np.repeat(drained, per_rack)
+        if required <= 0.0 and not self.shedder.any_asleep:
+            # Nothing to shed, nothing to wake: ``update`` would return
+            # the all-false mask ``asleep_servers`` already holds.
+            return
         decision = self.shedder.update(
             state.time_s, state.metered_server_util, required,
             prefer=prefer,

@@ -73,6 +73,10 @@ class TelemetryView:
         # None until the first observation: a standalone scheme that is
         # never fed telemetry must look fresh (age 0), not stale.
         self._rack_updated_s: "np.ndarray | None" = None
+        # Time of the last observation that reached every rack, while no
+        # masked observation has come since: every entry of
+        # ``_rack_updated_s`` equals it, so the age at that time is 0.0.
+        self._fresh_at: "float | None" = None
         # Sensor-fault state; None means the transparent healthy path.
         self._soc_bias: "np.ndarray | None" = None
         self._soc_freeze_mask: "np.ndarray | None" = None
@@ -109,11 +113,13 @@ class TelemetryView:
         if rack_mask is None:
             self._rack_avg_w = rack_avg_w
             self._rack_updated_s[:] = time_s
+            self._fresh_at = time_s
         else:
             held = self._rack_avg_w.copy()
             held[rack_mask] = rack_avg_w[rack_mask]
             self._rack_avg_w = held
             self._rack_updated_s[rack_mask] = time_s
+            self._fresh_at = None
         if server_mask is None:
             self._server_util = server_util
         else:
@@ -132,6 +138,10 @@ class TelemetryView:
     def age_s(self, time_s: float) -> float:
         """Age of the *oldest* rack channel; 0 before any observation."""
         if self._rack_updated_s is None:
+            return 0.0
+        if time_s == self._fresh_at:
+            # Every channel was stamped at ``time_s`` (the healthy path):
+            # the reduction below would return ``time_s - time_s``.
             return 0.0
         return float(time_s - self._rack_updated_s.min())
 
@@ -258,10 +268,12 @@ class TelemetryView:
         """Shift absolute-time state after a fast-forward jump."""
         if self._rack_updated_s is not None:
             self._rack_updated_s += delta_s
+        self._fresh_at = None
 
     def reset(self) -> None:
         """Forget observations and heal every sensor fault."""
         self._rack_updated_s = None
+        self._fresh_at = None
         self._soc_bias = None
         self._soc_freeze_mask = None
         self._soc_frozen = None

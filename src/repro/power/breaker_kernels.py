@@ -200,14 +200,14 @@ class BreakerBankState:
     @property
     def any_tripped(self) -> bool:
         """True if at least one breaker in the bank is open."""
-        return bool(np.any(self._tripped))
+        return bool(self._tripped.any())
 
     def set_ratings(self, rated_w: np.ndarray) -> None:
         """Re-target every breaker (accumulated heat persists)."""
         ratings = np.asarray(rated_w, dtype=float)
         if ratings.shape != self._rated_w.shape:
             raise ConfigError("need one rating per breaker")
-        if np.any(ratings <= 0.0):
+        if (ratings <= 0.0).any():
             raise PowerTopologyError("rating must be positive")
         self._rated_w = ratings.copy()
 
@@ -239,13 +239,13 @@ class BreakerBankState:
         power = np.asarray(power_w, dtype=float)
         if power.shape != self._rated_w.shape:
             raise ConfigError("need one load entry per breaker")
-        if np.any(power < 0.0):
+        if (power < 0.0).any():
             worst = float(np.min(power))
             raise PowerTopologyError(
                 f"power must be non-negative, got {worst}"
             )
         ratio = power / self._rated_w
-        if not np.any(ratio > 1.0) and not self._tripped.any():
+        if not (ratio > 1.0).any() and not self._tripped.any():
             # Whole bank cooling (the common benign-tick case):
             # instant_trip_ratio > 1, so nothing heats or latches.
             self._heat *= math.exp(-dt / self._shape.cooldown_tau_s)
@@ -260,7 +260,7 @@ class BreakerBankState:
         self._heat[cooling] *= math.exp(-dt / self._shape.cooldown_tau_s)
         thermal = overloaded & (self._heat >= self._shape.trip_energy)
         newly = instant | thermal
-        if not np.any(newly):
+        if not newly.any():
             return []
         self._tripped |= newly
         indices = [int(i) for i in np.nonzero(newly)[0]]
@@ -321,13 +321,13 @@ class CompiledBreakerBank(BreakerBankState):
         power = np.ascontiguousarray(power_w, dtype=float)
         if power.shape != self._rated_w.shape:
             raise ConfigError("need one load entry per breaker")
-        if np.any(power < 0.0):
+        if (power < 0.0).any():
             worst = float(np.min(power))
             raise PowerTopologyError(
                 f"power must be non-negative, got {worst}"
             )
         ratio = power / self._rated_w
-        if not np.any(ratio > 1.0) and not self._tripped.any():
+        if not (ratio > 1.0).any() and not self._tripped.any():
             # Same whole-bank-cooling shortcut as the numpy step (the
             # common benign-tick case); skips the kernel call and the
             # newly-tripped scratch allocation. Bit-identical: the

@@ -1919,6 +1919,7 @@ _TILE_DROP = frozenset({
     "_max_charge_cache",
     "_max_discharge_cache",
     "_soc_cache",
+    "_coeff_cache",
     # dt-keyed scalar-coefficient cache for the compiled kernels:
     # width-independent and derived purely from config, so dropping it
     # and letting the wide side rebuild is exactly equivalent.

@@ -209,10 +209,14 @@ class StepContext:
         record: Whether this step's channels are recorded.
         down: Racks currently dark (tripped and unrepaired).
         util: Per-machine utilisation (trace, then attacker overrides).
+        clipped_util: ``util`` clipped to ``[0, 1]`` by the demand stage;
+            the accounting stage reuses it instead of clipping again.
         capped_servers: Per-server capping mask in force this tick (the
             scheme's decision from the *previous* tick — management acts
-            one tick delayed, like real firmware).
-        asleep: Per-server sleep mask in force this tick (same delay).
+            one tick delayed, like real firmware); ``None`` when no
+            server is capped.
+        asleep: Per-server sleep mask in force this tick (same delay);
+            ``None`` when no server is asleep.
         demand: Per-rack electrical demand.
         state: The scheme-visible observation for this tick.
         dispatch: The scheme's decision for this tick.
@@ -233,6 +237,7 @@ class StepContext:
     record: bool = True
     down: "list[int]" = field(default_factory=list)
     util: "np.ndarray | None" = None
+    clipped_util: "np.ndarray | None" = None
     capped_servers: "np.ndarray | None" = None
     asleep: "np.ndarray | None" = None
     demand: "np.ndarray | None" = None
@@ -620,26 +625,45 @@ class DataCenterSimulation:
         """Apply the attacker's utilisation overrides, if any."""
         if self.attacker is None:
             return
-        assert ctx.util is not None
+        util = ctx.util
+        assert util is not None
         observed = self._attacker_observes_capping()
         # The attacker can tell its rack went dark — its own VMs die.
-        success = bool(ctx.down) and any(
-            rack in ctx.down for rack in self._attack_racks
+        down = ctx.down
+        success = bool(down) and any(
+            rack in down for rack in self._attack_racks
         )
         overrides = self.attacker.utilisation_overrides(
             ctx.time_s, observed, observed_success=success
         )
+        asleep = self.scheme.asleep_servers
         for node, value in overrides.items():
-            if not self.scheme.asleep_servers[node]:
-                ctx.util[node] = max(ctx.util[node], value)
+            # ``util[node] = max(util[node], value)`` without the
+            # write-back of an unchanged value.
+            if not asleep[node] and value > util[node]:
+                util[node] = value
 
     def stage_demand(self, ctx: StepContext) -> None:
-        """Turn utilisation into rack power and feed the meters."""
+        """Turn utilisation into rack power and feed the meters.
+
+        The clipped utilisation and the masks (``None`` when all-false:
+        the cluster model skips an all-false mask anyway) stay on the
+        context for the accounting stage.
+        """
         assert ctx.util is not None
-        ctx.capped_servers = self.scheme.capped_racks[self._server_rack_index]
-        ctx.asleep = self.scheme.asleep_servers
-        ctx.demand = self.cluster.rack_power(
-            ctx.util,
+        scheme = self.scheme
+        capped_racks = scheme.capped_racks
+        # Every rack hosts servers, so a server is capped iff its rack is.
+        ctx.capped_servers = (
+            capped_racks[self._server_rack_index]
+            if capped_racks.any()
+            else None
+        )
+        asleep = scheme.asleep_servers
+        ctx.asleep = asleep if asleep.any() else None
+        ctx.clipped_util = self.cluster.clip_utilisation(ctx.util)
+        ctx.demand = self.cluster.rack_power_clipped(
+            ctx.clipped_util,
             capped=ctx.capped_servers,
             asleep=ctx.asleep,
             down_racks=ctx.down,
@@ -672,6 +696,8 @@ class DataCenterSimulation:
                 server_mask=server_ok,
             )
         age_s = view.age_s(ctx.time_s)
+        # ``view.is_stale`` would recompute this age.
+        stale = age_s > view.ttl_s
         if self._grid is None:
             ctx.state = StepState(
                 time_s=ctx.time_s,
@@ -680,7 +706,7 @@ class DataCenterSimulation:
                 metered_rack_avg_w=view.rack_avg_w(),
                 metered_server_util=view.server_util(),
                 telemetry_age_s=age_s,
-                telemetry_stale=view.is_stale(ctx.time_s),
+                telemetry_stale=stale,
             )
         else:
             freg_w, freg_floor = self._grid.freg_command()
@@ -691,14 +717,15 @@ class DataCenterSimulation:
                 metered_rack_avg_w=view.rack_avg_w(),
                 metered_server_util=view.server_util(),
                 telemetry_age_s=age_s,
-                telemetry_stale=view.is_stale(ctx.time_s),
+                telemetry_stale=stale,
                 grid_feed_factor=self._grid.feed_factor,
                 grid_freg_w=freg_w,
                 grid_freg_floor_soc=freg_floor,
             )
         ctx.dispatch = self.scheme.dispatch(ctx.state)
         ctx.utility = ctx.dispatch.utility_w(ctx.demand)
-        ctx.utility[ctx.down] = 0.0
+        if ctx.down:
+            ctx.utility[ctx.down] = 0.0
 
     def stage_protection(self, ctx: StepContext) -> None:
         """Move enforcement with the budgets, then integrate breakers."""
@@ -760,8 +787,11 @@ class DataCenterSimulation:
     def stage_accounting(self, ctx: StepContext) -> None:
         """Integrate throughput and record the step's channels."""
         assert ctx.util is not None and ctx.dispatch is not None
-        delivered, demanded = self.cluster.work_snapshot(
-            ctx.util,
+        u = ctx.clipped_util
+        if u is None:  # a pipeline without the stock demand stage
+            u = self.cluster.clip_utilisation(ctx.util)
+        delivered, demanded = self.cluster.work_from_clipped(
+            u,
             capped=ctx.capped_servers,
             asleep=ctx.asleep,
             down_racks=ctx.down,
@@ -781,9 +811,11 @@ class DataCenterSimulation:
         """The DVFS/shedding side-channel as seen from the attacker's VMs."""
         assert self._attack_nodes is not None
         capped_racks = self.scheme.capped_racks
-        capped = any(capped_racks[r] for r in self._attack_racks)
-        shed = bool(np.any(self.scheme.asleep_servers[self._attack_nodes]))
-        return capped or shed
+        if any(capped_racks[r] for r in self._attack_racks):
+            return True
+        # The whole-array check skips the gather while nothing sleeps.
+        asleep = self.scheme.asleep_servers
+        return bool(asleep.any() and asleep[self._attack_nodes].any())
 
     def _update_meters(
         self, rack_demand: np.ndarray, util: np.ndarray, dt: float
@@ -853,7 +885,7 @@ class DataCenterSimulation:
         """
         racks = self.cluster.racks
         over_rack = utility > self.rating_w
-        total = float(np.sum(utility))
+        total = float(utility.sum())
         over_cluster = total > self._cluster_rated_w
         if over_rack.any():
             for rack in np.nonzero(over_rack & ~self._was_over[:racks])[0]:
@@ -1056,6 +1088,8 @@ class DataCenterSimulation:
             if not ff.enabled:
                 ff = None
 
+        record_every = segment.record_every
+
         def step(time_s: float, dt: float) -> None:
             nonlocal step_index
             if ff is not None:
@@ -1071,7 +1105,7 @@ class DataCenterSimulation:
                 time_s=time_s,
                 dt=dt,
                 result=result,
-                record=step_index % segment.record_every == 0,
+                record=step_index % record_every == 0,
             )
             for stage in self.pipeline:
                 stage(ctx)

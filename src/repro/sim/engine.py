@@ -143,12 +143,26 @@ class Engine:
         start = self.now_s
         begin_steps = self._steps_done
         stopped = False
+        # The loop inlines :meth:`step` and ``now_s``; it re-reads
+        # ``_steps_done`` after the hooks, which may advance it.
+        hooks = self._hooks
+        stops = self._stops
+        dt = self._dt
+        origin = self._start_s
+        limit = end_s - 1e-9
+        now = start
         self._running = True
         try:
-            while self.now_s < end_s - 1e-9:
-                self.step()
-                if any(stop(self.now_s) for stop in self._stops):
-                    stopped = True
+            while now < limit:
+                for hook in hooks:
+                    hook(now, dt)
+                self._steps_done += 1
+                now = origin + self._steps_done * dt
+                for stop in stops:
+                    if stop(now):
+                        stopped = True
+                        break
+                if stopped:
                     break
         finally:
             self._running = False

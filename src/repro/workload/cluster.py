@@ -39,6 +39,14 @@ class ClusterModel:
         self._racks = config.racks
         self._per_rack = config.rack.servers
         self._rack_of = np.arange(self._servers) // self._per_rack
+        # Scalar coefficients of the power and throughput expressions,
+        # read once (the configs are frozen).
+        server = config.rack.server
+        self._idle_w = server.idle_w
+        self._dynamic_w = server.dynamic_range_w
+        self._capped_scale = 1.0 - server.dvfs_power_reduction
+        self._sleep_w = server.idle_w * SLEEP_POWER_FRACTION
+        self._dvfs_keep = 1.0 - server.dvfs_throughput_penalty
 
     # ------------------------------------------------------------------ #
     # Layout                                                              #
@@ -86,6 +94,28 @@ class ClusterModel:
             )
         return array
 
+    def _mask(
+        self, name: str, mask: "np.ndarray | None"
+    ) -> "np.ndarray | None":
+        """``mask`` shape-checked, or ``None`` when absent or all-false.
+
+        An all-false mask changes no figure, so dropping it only skips
+        the ``where`` work it would cost.
+        """
+        if mask is None:
+            return None
+        mask = self._check_vector(name, mask)
+        return mask if mask.any() else None
+
+    def clip_utilisation(self, utilisation: np.ndarray) -> np.ndarray:
+        """Checked per-machine utilisation, clipped to ``[0, 1]``.
+
+        Every power and throughput figure starts from this one clip; a
+        simulation step clips once and hands the result to both
+        :meth:`rack_power_clipped` and :meth:`work_from_clipped`.
+        """
+        return self._check_vector("utilisation", utilisation).clip(0.0, 1.0)
+
     # ------------------------------------------------------------------ #
     # Power                                                               #
     # ------------------------------------------------------------------ #
@@ -106,23 +136,35 @@ class ClusterModel:
             down_racks: Racks whose breaker is open — their servers draw
                 nothing.
         """
-        u = np.clip(self._check_vector("utilisation", utilisation), 0.0, 1.0)
-        power = np.asarray(self._server_model.power(u), dtype=float)
-        # All-false masks leave the power untouched; skipping them saves
-        # the where/astype traffic on quiet ticks.
+        return self._server_power_clipped(
+            self.clip_utilisation(utilisation),
+            self._mask("capped", capped),
+            self._mask("asleep", asleep),
+            down_racks,
+        )
+
+    def _server_power_clipped(
+        self,
+        u: np.ndarray,
+        capped: "np.ndarray | None",
+        asleep: "np.ndarray | None",
+        down_racks: "list[int] | None",
+    ) -> np.ndarray:
+        """Per-server power from clipped utilisation and per-server masks.
+
+        The expressions are :meth:`ServerPowerModel.power` and
+        :meth:`ServerPowerModel.capped_power` term for term; their own
+        clip is skipped because clipping a clipped array is the identity.
+        """
+        power = np.asarray(self._idle_w + u * self._dynamic_w, dtype=float)
         if capped is not None:
-            capped = self._check_vector("capped", capped)
-            if capped.any():
-                power = np.where(
-                    capped.astype(bool),
-                    np.asarray(self._server_model.capped_power(u)),
-                    power,
-                )
+            power = np.where(
+                capped,
+                self._idle_w + u * self._capped_scale * self._dynamic_w,
+                power,
+            )
         if asleep is not None:
-            asleep = self._check_vector("asleep", asleep)
-            if asleep.any():
-                sleep_w = self._server_model.idle_w * SLEEP_POWER_FRACTION
-                power = np.where(asleep.astype(bool), sleep_w, power)
+            power = np.where(asleep, self._sleep_w, power)
         if down_racks:
             down_mask = np.isin(self._rack_of, np.asarray(down_racks, dtype=int))
             power = np.where(down_mask, 0.0, power)
@@ -137,6 +179,22 @@ class ClusterModel:
     ) -> np.ndarray:
         """Per-rack power demand ``p_i``, summed over the rack's servers."""
         power = self.server_power(utilisation, capped, asleep, down_racks)
+        return np.bincount(self._rack_of, weights=power, minlength=self._racks)
+
+    def rack_power_clipped(
+        self,
+        u: np.ndarray,
+        capped: "np.ndarray | None" = None,
+        asleep: "np.ndarray | None" = None,
+        down_racks: "list[int] | None" = None,
+    ) -> np.ndarray:
+        """:meth:`rack_power` of :meth:`clip_utilisation`'s result.
+
+        The masks are used as given, unchecked: pass one entry per server,
+        or ``None`` for a mask with no true entry (an all-false mask gives
+        the same figures, at the cost of a ``where``).
+        """
+        power = self._server_power_clipped(u, capped, asleep, down_racks)
         return np.bincount(self._rack_of, weights=power, minlength=self._racks)
 
     def sum_to_racks(self, per_server: np.ndarray) -> np.ndarray:
@@ -164,20 +222,8 @@ class ClusterModel:
         over the cluster — this is the integrand of the paper's Fig. 16
         performance metric.
         """
-        u = np.clip(self._check_vector("utilisation", utilisation), 0.0, 1.0)
-        return self._delivered_from_clipped(u, capped, asleep, down_racks)
-
-    def _delivered_from_clipped(
-        self,
-        u: np.ndarray,
-        capped: "np.ndarray | None",
-        asleep: "np.ndarray | None",
-        down_racks: "list[int] | None",
-    ) -> float:
-        """Delivered work from already-clipped utilisation."""
-        return float(
-            np.sum(self.delivered_vector(u, capped, asleep, down_racks))
-        )
+        u = self.clip_utilisation(utilisation)
+        return float(self.delivered_vector(u, capped, asleep, down_racks).sum())
 
     def delivered_vector(
         self,
@@ -189,46 +235,60 @@ class ClusterModel:
         """Per-server delivered work from already-clipped utilisation.
 
         The cohort backend sums this per cell; :meth:`throughput` and
-        :meth:`work_snapshot` sum it over the whole fleet.
+        :meth:`work_from_clipped` sum it over the whole fleet.
         """
+        return self._delivered(
+            u,
+            self._mask("capped", capped),
+            self._mask("asleep", asleep),
+            down_racks,
+        )
+
+    def _delivered(
+        self,
+        u: np.ndarray,
+        capped: "np.ndarray | None",
+        asleep: "np.ndarray | None",
+        down_racks: "list[int] | None",
+    ) -> np.ndarray:
+        """:meth:`delivered_vector` with the masks used as given."""
         delivered = u.astype(float)
         if capped is not None:
-            capped = self._check_vector("capped", capped)
-            if capped.any():
-                penalty = (
-                    1.0 - self._config.rack.server.dvfs_throughput_penalty
-                )
-                delivered = np.where(
-                    capped.astype(bool), delivered * penalty, delivered
-                )
+            delivered = np.where(capped, delivered * self._dvfs_keep, delivered)
         if asleep is not None:
-            asleep = self._check_vector("asleep", asleep)
-            if asleep.any():
-                delivered = np.where(asleep.astype(bool), 0.0, delivered)
+            delivered = np.where(asleep, 0.0, delivered)
         if down_racks:
             down_mask = np.isin(self._rack_of, np.asarray(down_racks, dtype=int))
             delivered = np.where(down_mask, 0.0, delivered)
         return delivered
 
-    def work_snapshot(
+    def work_from_clipped(
         self,
-        utilisation: np.ndarray,
+        u: np.ndarray,
         capped: "np.ndarray | None" = None,
         asleep: "np.ndarray | None" = None,
         down_racks: "list[int] | None" = None,
     ) -> "tuple[float, float]":
-        """``(delivered, demanded)`` work this instant, sharing the clip.
+        """``(delivered, demanded)`` work this instant, from
+        :meth:`clip_utilisation`'s result.
 
-        Equivalent to calling :meth:`throughput` and
-        :meth:`demanded_throughput` but clips the utilisation once — the
-        per-step accounting path.
+        Equal to :meth:`throughput` and :meth:`demanded_throughput` of
+        the unclipped utilisation. The masks are used as given, as in
+        :meth:`rack_power_clipped`. With none of them, the delivered
+        vector is an exact float64 copy of ``u``, so the delivered sum
+        *is* the demanded sum.
         """
-        u = np.clip(self._check_vector("utilisation", utilisation), 0.0, 1.0)
-        demanded = float(np.sum(u))
-        delivered = self._delivered_from_clipped(u, capped, asleep, down_racks)
-        return delivered, demanded
+        demanded = float(u.sum())
+        if (
+            capped is None
+            and asleep is None
+            and not down_racks
+            and u.dtype == np.float64
+        ):
+            return demanded, demanded
+        delivered = self._delivered(u, capped, asleep, down_racks)
+        return float(delivered.sum()), demanded
 
     def demanded_throughput(self, utilisation: np.ndarray) -> float:
         """Work demanded this instant — the throughput denominator."""
-        u = np.clip(self._check_vector("utilisation", utilisation), 0.0, 1.0)
-        return float(np.sum(u))
+        return float(self.clip_utilisation(utilisation).sum())

@@ -17,6 +17,10 @@ suite share:
   battery capacity fades, and whole :class:`~repro.faults.FaultPlan`
   windows (telemetry dropout/noise, lying SOC sensors, comm loss,
   battery damage, stuck FETs, mis-rated breakers).
+* Cases for the per-step shortcuts, each checked against the general
+  branch it skips: LVD updates on all-connected fleets, one tick's
+  server state (utilisation, capped/asleep/down masks) for the shared
+  clip, and telemetry observation sequences for the healthy-path age.
 
 Schedules are plain frozen dataclasses so failing examples shrink to
 readable reproductions.
@@ -52,6 +56,15 @@ DTS = (0.1, 0.5, 1.0, 7.5, 30.0)
 
 #: Schedule shapes, named after the attack phases they reproduce.
 PROFILES = ("benign", "drain", "spike", "mixed")
+
+#: States of charge on and around the default LVD threshold (0.05) and
+#: its reconnect line (0.15), where the disconnect latch flips.
+LVD_EDGE_SOCS = (0.0, 0.049, 0.05, 0.051, 0.149, 0.15, 0.151)
+
+#: Per-rack starting SOC: anywhere, or on an LVD edge.
+start_socs = st.one_of(
+    st.floats(0.0, 1.0, allow_nan=False), st.sampled_from(LVD_EDGE_SOCS)
+)
 
 
 def assert_agree(label: str, scalar, vector, rtol: float = RTOL) -> None:
@@ -121,13 +134,7 @@ def fleet_schedules(draw) -> FleetSchedule:
     racks = draw(st.integers(min_value=1, max_value=4))
     dt = draw(st.sampled_from(DTS))
     socs = tuple(
-        draw(
-            st.lists(
-                st.floats(0.0, 1.0, allow_nan=False),
-                min_size=racks,
-                max_size=racks,
-            )
-        )
+        draw(st.lists(start_socs, min_size=racks, max_size=racks))
     )
     profile = draw(st.sampled_from(PROFILES))
     n_steps = draw(st.integers(min_value=2, max_value=12))
@@ -229,6 +236,38 @@ def cell_schedules(draw) -> CellSchedule:
     )
 
 
+@dataclass(frozen=True)
+class LvdCase:
+    """One low-voltage-disconnect update on an all-connected fleet.
+
+    Attributes:
+        socs: Per-rack state of charge before the update.
+        mask: Racks allowed to change state (``None`` = all), as the
+            discharge-while-disconnected and capacity-fade paths pass.
+        fade: Capacity fade applied first (all zero = no fade).
+    """
+
+    socs: "tuple[float, ...]"
+    mask: "tuple[bool, ...] | None"
+    fade: "tuple[float, ...]"
+
+
+@st.composite
+def lvd_cases(draw) -> LvdCase:
+    """SOCs on and around the LVD edges, with an optional mask and fade."""
+    racks = draw(st.integers(min_value=1, max_value=6))
+    socs = tuple(draw(st.lists(start_socs, min_size=racks, max_size=racks)))
+    mask = draw(
+        st.none() | st.tuples(*[st.booleans() for _ in range(racks)])
+    )
+    fade = draw(
+        st.tuples(*[
+            st.sampled_from((0.0, 0.0, 0.5, 0.9)) for _ in range(racks)
+        ])
+    )
+    return LvdCase(socs=socs, mask=mask, fade=fade)
+
+
 # ---------------------------------------------------------------------- #
 # Supercap schedules                                                      #
 # ---------------------------------------------------------------------- #
@@ -273,6 +312,95 @@ def supercap_schedules(draw) -> SupercapSchedule:
             watts = tuple(800.0 * m for m in mags)
         steps.append((kind, watts))
     return SupercapSchedule(racks=racks, dt=dt, steps=tuple(steps))
+
+
+# ---------------------------------------------------------------------- #
+# Per-step server state and telemetry observations                        #
+# ---------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class ServerState:
+    """One tick's inputs to the cluster power and work model.
+
+    Attributes:
+        racks: Cluster width (10 servers per rack, the default layout).
+        util: Per-server utilisation, straying outside ``[0, 1]`` so
+            the clip matters.
+        capped_racks: Per-rack DVFS capping (expanded per server).
+        asleep: Per-server sleep mask.
+        down_racks: Dark racks.
+        float32: Hand the utilisation over as float32 instead of float64.
+    """
+
+    racks: int
+    util: "tuple[float, ...]"
+    capped_racks: "tuple[bool, ...]"
+    asleep: "tuple[bool, ...]"
+    down_racks: "tuple[int, ...]"
+    float32: bool = False
+
+
+def _mask(draw, size: int) -> "tuple[bool, ...]":
+    """All false (the quiet tick) or arbitrary."""
+    if draw(st.booleans()):
+        return (False,) * size
+    return tuple(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+
+
+@st.composite
+def server_states(draw) -> ServerState:
+    """Utilisation with capped, asleep and down masks, empty or not."""
+    racks = draw(st.integers(min_value=1, max_value=4))
+    servers = 10 * racks
+    util = tuple(
+        draw(
+            st.lists(
+                st.floats(-0.5, 1.5, allow_nan=False, width=32),
+                min_size=servers,
+                max_size=servers,
+            )
+        )
+    )
+    down = draw(
+        st.lists(st.integers(0, racks - 1), max_size=racks, unique=True)
+    )
+    return ServerState(
+        racks=racks,
+        util=util,
+        capped_racks=_mask(draw, racks),
+        asleep=_mask(draw, servers),
+        down_racks=tuple(sorted(down)),
+        float32=draw(st.booleans()),
+    )
+
+
+@st.composite
+def telemetry_sequences(draw, racks: int) -> "tuple[float, float, tuple]":
+    """``(start_s, dt, events)``: observations on a fixed step grid.
+
+    Each event is ``("observe", steps_ahead, rack_mask_or_None)`` or
+    ``("shift", steps_ahead)`` (a fast-forward jump). Masked
+    observations (a dropout or comm fault) interleave with unmasked
+    ones; masks include all-true (every channel arrived, but through
+    the masked path) and all-false (nothing arrived).
+    """
+    start = draw(st.sampled_from((0.0, 0.5, 86_400.0, 2.6e6 + 0.1)))
+    dt = draw(st.sampled_from(DTS))
+    events = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        ahead = draw(st.integers(min_value=0, max_value=80))
+        if draw(st.integers(0, 5)) == 0:
+            events.append(("shift", ahead))
+            continue
+        mask = draw(
+            st.none()
+            | st.just((True,) * racks)
+            | st.just((False,) * racks)
+            | st.tuples(*[st.booleans() for _ in range(racks)])
+        )
+        events.append(("observe", ahead, mask))
+    return start, dt, tuple(events)
 
 
 # ---------------------------------------------------------------------- #

@@ -31,6 +31,14 @@ def test_requires_command():
         main([])
 
 
+def test_library_error_is_one_line_exit_2(capsys):
+    assert main(["survive", "--window", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("repro: error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_search_command(capsys, tmp_path):
     out_path = tmp_path / "frontier.json"
     code = main([

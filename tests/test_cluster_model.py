@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.config import ClusterConfig
 from repro.errors import ConfigError
 from repro.workload import ClusterModel
 from repro.workload.cluster import SLEEP_POWER_FRACTION
+
+from .differential import ServerState, server_states
 
 
 @pytest.fixture
@@ -85,3 +88,80 @@ class TestThroughput:
         asleep[:10] = True
         assert cluster.throughput(util, asleep=asleep) == pytest.approx(10.0)
         assert cluster.throughput(util, down_racks=[0, 1]) == pytest.approx(5.0)
+
+
+# ---------------------------------------------------------------------- #
+# One clip per step, shared by demand and accounting                      #
+# ---------------------------------------------------------------------- #
+
+
+def _reference_power(cluster, util, capped, asleep, down):
+    """Rack power the general way: clip, then the server model's own
+    (clipping) expressions, then every mask through ``where``."""
+    model = cluster.server_model
+    u = np.clip(util, 0.0, 1.0)
+    power = np.asarray(model.power(u), dtype=float)
+    if capped.any():
+        power = np.where(capped.astype(bool), model.capped_power(u), power)
+    if asleep.any():
+        sleep_w = model.idle_w * SLEEP_POWER_FRACTION
+        power = np.where(asleep.astype(bool), sleep_w, power)
+    rack_of = np.arange(cluster.servers) // cluster.config.rack.servers
+    if down:
+        power = np.where(np.isin(rack_of, list(down)), 0.0, power)
+    return np.bincount(rack_of, weights=power, minlength=cluster.racks)
+
+
+def _reference_work(cluster, util, capped, asleep, down):
+    """``(delivered, demanded)`` the general way: clip, then every mask."""
+    u = np.clip(util, 0.0, 1.0)
+    delivered = u.astype(float)
+    if capped.any():
+        keep = 1.0 - cluster.config.rack.server.dvfs_throughput_penalty
+        delivered = np.where(capped, delivered * keep, delivered)
+    if asleep.any():
+        delivered = np.where(asleep, 0.0, delivered)
+    rack_of = np.arange(cluster.servers) // cluster.config.rack.servers
+    if down:
+        delivered = np.where(np.isin(rack_of, list(down)), 0.0, delivered)
+    return float(np.sum(delivered)), float(np.sum(u))
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=server_states())
+def test_shared_clip_matches_the_general_path(state: ServerState):
+    """The demand stage's inputs to power and accounting, bit for bit.
+
+    The stage clips once and passes an all-false mask as ``None``; the
+    general path clips in every call and tests every mask.
+    """
+    cluster = ClusterModel(ClusterConfig(racks=state.racks))
+    util = np.asarray(
+        state.util, dtype=np.float32 if state.float32 else float
+    )
+    capped_racks = np.asarray(state.capped_racks)
+    capped = capped_racks[np.arange(cluster.servers) // 10]
+    asleep = np.asarray(state.asleep)
+    down = list(state.down_racks)
+    u = cluster.clip_utilisation(util)
+    capped_arg = capped if capped_racks.any() else None
+    asleep_arg = asleep if asleep.any() else None
+
+    power = cluster.rack_power_clipped(u, capped_arg, asleep_arg, down)
+    expected_power = _reference_power(cluster, util, capped, asleep, down)
+    assert _bits(power) == _bits(expected_power)
+    assert _bits(cluster.rack_power(util, capped, asleep, down)) == _bits(
+        expected_power
+    )
+
+    work = cluster.work_from_clipped(u, capped_arg, asleep_arg, down)
+    expected_work = _reference_work(cluster, util, capped, asleep, down)
+    assert _bits(work) == _bits(expected_work)
+    assert _bits(
+        (cluster.throughput(util, capped, asleep, down),
+         cluster.demanded_throughput(util))
+    ) == _bits(expected_work)

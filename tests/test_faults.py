@@ -18,6 +18,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.attack import Attacker, SpikeTrainConfig, VirusKind
 from repro.battery.fleet_kernels import make_fleet
@@ -49,6 +50,8 @@ from repro.sim import (
     SoftLimitsReassigned,
 )
 from repro.workload import ClusterModel, UtilizationTrace
+
+from .differential import telemetry_sequences
 
 
 def flat_trace(util, machines=40, steps=200, interval_s=60.0):
@@ -231,6 +234,45 @@ class TestTelemetryView:
         assert view.comm_ok.tolist() == [False, True, True, True]
         view.set_comm_loss(None)
         assert view.comm_ok is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(sequence=telemetry_sequences(racks=4))
+    def test_age_shortcut_matches_masked_observe(self, sequence):
+        """The healthy-path age (0.0 right after an unmasked observe)
+        equals the general reduction: a twin view takes every unmasked
+        observation through the masked path with an all-true mask."""
+        start, dt, events = sequence
+        fast, general = self.make(ttl=30.0), self.make(ttl=30.0)
+        step = 0
+        observed_at = start
+        for event in events:
+            step += event[1]
+            now = start + step * dt
+            if event[0] == "shift":
+                fast.ff_shift_times(event[1] * dt)
+                general.ff_shift_times(event[1] * dt)
+            else:
+                mask = event[2]
+                reading = np.full(4, float(step))
+                fast.observe(
+                    now, reading, np.zeros(8),
+                    rack_mask=None if mask is None else np.array(mask),
+                )
+                general.observe(
+                    now, reading, np.zeros(8),
+                    rack_mask=np.array(mask if mask is not None
+                                       else (True,) * 4),
+                )
+                observed_at = now
+            probes = (observed_at, now, now + dt, start + (step + 61) * dt)
+            for later in probes:
+                age = fast.age_s(later)
+                assert np.float64(age).tobytes() == np.float64(
+                    general.age_s(later)
+                ).tobytes()
+                assert fast.is_stale(later) == general.is_stale(later)
+            assert np.array_equal(fast.fresh_racks(now),
+                                  general.fresh_racks(now))
 
     def test_reset_heals_everything(self):
         view = self.make()

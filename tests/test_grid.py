@@ -331,6 +331,25 @@ class TestGridInjection:
         after = time >= 181.0
         assert np.allclose(s_rack[after][-30:], h_rack[after][-30:], rtol=0.2)
 
+    def test_ride_through_edges_rearm_after_each_sag(self):
+        """Between two sags no grid input reaches the scheme, which
+        resets its edge state: the second sag publishes a fresh edge."""
+        plan = GridPlan(specs=(
+            VoltageSag(start_s=60.0, end_s=120.0, depth=0.4, racks=(1,)),
+            VoltageSag(start_s=240.0, end_s=300.0, depth=0.4, racks=(1,)),
+        ))
+        sim = make_sim("PS", util=0.5, grid_plan=plan)
+        first = sim.run(duration_s=200.0, dt=1.0, record_every=1)
+        assert any(isinstance(e, RideThroughEngaged) for e in first.grid)
+        assert not sim.scheme._ride_engaged.any()
+        assert not sim.scheme._grid_edges_live
+        second = sim.run(
+            duration_s=160.0, dt=1.0, start_s=200.0, record_every=1
+        )
+        edges = [e for e in second.grid if isinstance(e, RideThroughEngaged)]
+        assert edges and 240.0 <= edges[0].time_s < 300.0
+        assert edges[0].racks == (1,)
+
     def test_freg_duty_respects_floor(self):
         """Regulation pre-drains the pack but never below its floor."""
         plan = GridPlan(specs=(

@@ -27,6 +27,8 @@ kernels are written to agree bit-for-bit and the tolerance is a backstop.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -57,6 +59,7 @@ from .differential import (
     CellSchedule,
     ChargerSchedule,
     FleetSchedule,
+    LvdCase,
     SupercapSchedule,
     assert_agree,
     assert_same_mask,
@@ -65,6 +68,7 @@ from .differential import (
     charger_schedules,
     fault_plans,
     fleet_schedules,
+    lvd_cases,
     supercap_schedules,
 )
 
@@ -134,6 +138,49 @@ def test_kibam_fleet_matches_scalar_cells(schedule: CellSchedule) -> None:
             [c.max_charge_power(dt) for c in cells],
             fleet.max_charge_power(dt),
         )
+
+
+@DIFFERENTIAL
+@given(schedule=cell_schedules())
+def test_kibam_fleet_matches_scalar_operand_expressions(
+    schedule: CellSchedule,
+) -> None:
+    """Bit for bit against the same expressions with Python-float
+    coefficients: the kernel takes them as per-rack vectors, and reuses
+    the deliverable-power computation's ``y1 * e`` in the step."""
+    k, c, dt = BATTERY.kibam_k, BATTERY.kibam_c, schedule.dt
+    fleet = KiBaMFleetState(
+        BATTERY.capacity_j, c, k, schedule.racks,
+        initial_soc=np.asarray(schedule.initial_socs),
+    )
+    y1, y2 = fleet.available_j.copy(), fleet.bound_j.copy()
+    cap_available = c * fleet.capacity_j
+    cap_bound = (1.0 - c) * fleet.capacity_j
+    sign = {"discharge": 1.0, "charge": -1.0, "rest": 0.0}
+    for index, (mode, watts) in enumerate(schedule.steps):
+        e = math.exp(-k * dt)
+        y0 = y1 + y2
+        if index % 2 == 0:  # odd steps run without the cached product
+            coeff_a = y1 * e + y0 * c * (1.0 - e)
+            coeff_b = (1.0 - e) / k + c * (k * dt - 1.0 + e) / k
+            limit = np.maximum(0.0, coeff_a / coeff_b)
+            assert fleet.max_discharge_power(dt).tobytes() == limit.tobytes()
+        power = sign[mode] * np.asarray(watts)
+        shape = (k * dt - 1.0 + e) / k
+        y1_new = (
+            y1 * e + (y0 * k * c - power) * (1.0 - e) / k
+            - power * c * shape
+        )
+        y2_new = (
+            y2 * e + y0 * (1.0 - c) * (1.0 - e)
+            - power * (1.0 - c) * shape
+        )
+        y1 = np.minimum(np.maximum(y1_new, 0.0), cap_available)
+        y2 = np.minimum(np.maximum(y2_new, 0.0), cap_bound)
+        fleet.step(power, dt)
+        assert fleet.available_j.tobytes() == y1.tobytes()
+        assert fleet.bound_j.tobytes() == y2.tobytes()
+        assert fleet.charge_j.tobytes() == (y1 + y2).tobytes()
 
 
 # ---------------------------------------------------------------------- #
@@ -237,6 +284,41 @@ def test_battery_fleet_reset_preserves_equivalence(
             vector.step(np.asarray(out), np.asarray(inn), dt),
         )
         _compare_battery_fleets(scalar, vector, dt)
+
+
+@DIFFERENTIAL
+@given(case=lvd_cases())
+def test_lvd_shortcut_matches_general_update(case: LvdCase) -> None:
+    """With every pack connected, the LVD update skips the closing test;
+    it must latch exactly what the general update latches, on the step
+    path (mask or none) and on the capacity-fade path."""
+    mask = None if case.mask is None else np.array(case.mask)
+    fade = np.asarray(case.fade)
+    latched = []
+    for any_disconnected in (False, True):
+        fleet = VectorBatteryFleet(
+            BATTERY, len(case.socs), initial_soc=list(case.socs)
+        )
+        assert not fleet.disconnected.any()
+        fleet._update_lvd(mask, any_disconnected)
+        stepped = (fleet.disconnected, fleet.deep_discharge_events_vector())
+        faded = VectorBatteryFleet(
+            BATTERY, len(case.socs), initial_soc=list(case.socs)
+        )
+        if any_disconnected:
+            # The general branch, as apply_capacity_fade ran it before.
+            faded.cells.apply_capacity_fade(fade)
+            if (fade > 0.0).any():
+                faded._update_lvd(fade > 0.0, True)
+        else:
+            faded.apply_capacity_fade(fade)
+        latched.append((
+            stepped,
+            (faded.disconnected, faded.deep_discharge_events_vector()),
+        ))
+    for (shortcut, general) in zip(*latched):
+        assert_same_mask("disconnected", general[0], shortcut[0])
+        assert_same_mask("deep discharge events", general[1], shortcut[1])
 
 
 # ---------------------------------------------------------------------- #
