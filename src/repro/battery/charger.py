@@ -98,7 +98,7 @@ class OfflineCharger:
     The hysteresis flag lives on the managed pack/fleet object itself
     (``_offline_charge_on``) rather than in an ``id()``-keyed side table:
     it travels with the object through pickling snapshots and is visible
-    to the fast-forward fingerprint.
+    to the cohort freeze fingerprint.
     """
 
     #: Attribute storing the hysteresis flag on the pack/fleet object.

@@ -252,7 +252,7 @@ class BatteryFleet:
                 pack.apply_capacity_fade(fraction_lost)
 
     def ff_state(self) -> dict:
-        """Evolving state for the fast-forward fingerprint.
+        """Evolving state for the cohort freeze fingerprint.
 
         Per-pack state stacked into arrays; bitwise-identical fingerprints
         imply bitwise-identical fleet behaviour under identical dispatch.

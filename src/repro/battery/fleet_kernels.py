@@ -325,7 +325,7 @@ class KiBaMFleetState:
         self._version += 1
 
     def ff_state(self) -> dict:
-        """Evolving state for the fast-forward fingerprint (both wells
+        """Evolving state for the cohort freeze fingerprint (both wells
         plus the fade-mutable capacity; the version counter is excluded
         because it advances even when the physics state is unchanged)."""
         return {
@@ -684,7 +684,7 @@ class VectorBatteryFleet:
             self._update_lvd(faded, bool(self._disconnected.any()))
 
     def ff_state(self) -> dict:
-        """Evolving state for the fast-forward fingerprint (cells, LVD
+        """Evolving state for the cohort freeze fingerprint (cells, LVD
         latches, aging counters and the offline-charger hysteresis mask
         the charger parks on this object)."""
         state = self._cells.ff_state()
@@ -834,7 +834,7 @@ class SupercapFleetState:
         return accepted
 
     def ff_state(self) -> dict:
-        """Evolving state for the fast-forward fingerprint (the ``_full``
+        """Evolving state for the cohort freeze fingerprint (the ``_full``
         flag is derived but included: it gates the recharge fast path)."""
         return {
             "charge_j": self._charge_j,

@@ -208,7 +208,7 @@ class KiBaMBattery:
         self._y2 = min(self._y2, (1.0 - self._c) * self._capacity_j)
 
     def ff_state(self) -> "dict[str, float]":
-        """Evolving state for the fast-forward fingerprint.
+        """Evolving state for the cohort freeze fingerprint.
 
         Everything the closed-form step depends on: both wells plus the
         (fade-mutable) capacity. Bitwise equality of two fingerprints

@@ -176,7 +176,7 @@ class LeadAcidPack:
             self._update_lvd()
 
     def ff_state(self) -> dict:
-        """Evolving state for the fast-forward fingerprint.
+        """Evolving state for the cohort freeze fingerprint.
 
         Cell wells, the LVD latch, the aging counters, and the offline-
         charger hysteresis flag the charger parks on this object.

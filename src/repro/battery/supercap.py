@@ -92,7 +92,7 @@ class SupercapBank:
         return accepted
 
     def ff_state(self) -> dict:
-        """Evolving state for the fast-forward fingerprint."""
+        """Evolving state for the cohort freeze fingerprint."""
         return {
             "charge_j": self._charge_j,
             "shave_events": self._shave_events,

@@ -154,7 +154,7 @@ class HierarchicalPolicy:
         return self._level
 
     def ff_state(self) -> dict:
-        """Evolving state for the fast-forward fingerprint.
+        """Evolving state for the cohort freeze fingerprint.
 
         The transition *history* is excluded: it only grows when the
         level changes, and a level change publishes an event, which

@@ -238,7 +238,7 @@ class LoadShedder:
         )
 
     def ff_state(self, now_s: float) -> dict:
-        """Evolving state for the fast-forward fingerprint.
+        """Evolving state for the cohort freeze fingerprint.
 
         ``_shed_at`` holds absolute times, so it is normalised to ages
         relative to ``now_s`` (never-shed servers sit at ``+inf`` age,
@@ -248,10 +248,6 @@ class LoadShedder:
             "asleep": self._asleep,
             "shed_age_s": now_s - self._shed_at,
         }
-
-    def ff_shift_times(self, delta_s: float) -> None:
-        """Shift absolute-time state after a fast-forward jump."""
-        self._shed_at += delta_s
 
     def reset(self) -> None:
         """Wake everything and clear hysteresis state."""

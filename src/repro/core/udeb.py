@@ -159,7 +159,7 @@ class UdebShaver:
         return drawn
 
     def ff_state(self) -> dict:
-        """Evolving state for the fast-forward fingerprint."""
+        """Evolving state for the cohort freeze fingerprint."""
         bank_states = [b.ff_state() for b in self._banks]
         state = {
             key: np.array([s[key] for s in bank_states])
@@ -261,7 +261,7 @@ class VectorUdebShaver:
         return self._state.recharge(np.asarray(headroom_w, dtype=float), dt)
 
     def ff_state(self) -> dict:
-        """Evolving state for the fast-forward fingerprint."""
+        """Evolving state for the cohort freeze fingerprint."""
         state = self._state.ff_state()
         state["stuck_open"] = self._stuck_open
         return state

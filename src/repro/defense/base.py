@@ -204,11 +204,11 @@ class DefenseScheme:
     uses_capping: bool = False
     #: Level-3 load shedding (PAD).
     uses_shedding: bool = False
-    #: Whether steady-state segments of this scheme may be fast-forwarded.
-    #: A scheme qualifies when its quiescent dynamics are exactly periodic
-    #: at the management cadence, so a repeated fingerprint proves the
-    #: block will repeat verbatim. Schemes with slowly-drifting internal
-    #: state (vDEB's equalisation) opt out.
+    #: Whether the cohort may freeze this scheme at a quiescent fixed
+    #: point. A scheme qualifies when its quiescent dynamics are exactly
+    #: periodic at the management cadence, so a repeated fingerprint
+    #: proves the period will repeat verbatim. Schemes with
+    #: slowly-drifting internal state (vDEB's equalisation) opt out.
     ff_eligible: bool = True
     #: True when ``after_battery`` is the shared uDEB shave/recharge body
     #: (UdebScheme, PadScheme set this), letting the compiled tier fuse
@@ -712,11 +712,11 @@ class DefenseScheme:
         self._grid_edges_live = False
 
     # ------------------------------------------------------------------ #
-    # Fast-forward support                                                 #
+    # Quiescence fingerprint (cohort freeze)                              #
     # ------------------------------------------------------------------ #
 
     def ff_state(self, now_s: float) -> dict:
-        """Evolving control/physics state for the fast-forward fingerprint.
+        """Evolving control/physics state for the cohort freeze fingerprint.
 
         Subclasses extend the dict with their own fields; anything that
         influences future dispatches must appear here (or be provably
@@ -734,10 +734,6 @@ class DefenseScheme:
             "ride_engaged": self._ride_engaged,
             "reserve_breached": self._reserve_breached,
         }
-
-    def ff_shift_times(self, delta_s: float) -> None:
-        """Shift absolute-time state after a fast-forward jump."""
-        self.telemetry.ff_shift_times(delta_s)
 
     def reset(self) -> None:
         """Restore construction-time state."""

@@ -19,7 +19,7 @@ class ConvScheme(DefenseScheme):
     name = "Conv"
     uses_peak_shaving = False
     # Idle batteries at full SOC are a bitwise fixed point, so quiescent
-    # Conv segments are periodic from the first management boundary.
+    # Conv stretches are periodic from the first management boundary.
     ff_eligible = True
 
     def battery_discharge(self, state: StepState) -> np.ndarray:

@@ -251,12 +251,6 @@ class PadScheme(VdebScheme):
         state["last_shaves"] = self._last_shaves
         return state
 
-    def ff_shift_times(self, delta_s: float) -> None:
-        super().ff_shift_times(delta_s)
-        finite = np.isfinite(self._suspect_until_s)
-        self._suspect_until_s[finite] += delta_s
-        self.shedder.ff_shift_times(delta_s)
-
     def reset(self) -> None:
         super().reset()
         self.shaver.reset()

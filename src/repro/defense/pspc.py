@@ -20,5 +20,5 @@ class PeakShavingPowerCappingScheme(DefenseScheme):
     uses_capping = True
     # Capping state lives in the base fingerprint (controller timers via
     # ``ff_state``); an engaged cap accrues ``active_time_s`` every step,
-    # which auto-refuses jumps while capping is live.
+    # which auto-refuses a freeze while capping is live.
     ff_eligible = True

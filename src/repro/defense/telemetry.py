@@ -244,7 +244,7 @@ class TelemetryView:
         return self._comm_ok
 
     def ff_state(self, now_s: float) -> dict:
-        """Evolving state for the fast-forward fingerprint.
+        """Evolving state for the cohort freeze fingerprint.
 
         Update stamps are normalised to ages relative to ``now_s`` so
         they compare across time windows; held readings and every
@@ -263,12 +263,6 @@ class TelemetryView:
             "soc_frozen": self._soc_frozen,
             "comm_ok": self._comm_ok,
         }
-
-    def ff_shift_times(self, delta_s: float) -> None:
-        """Shift absolute-time state after a fast-forward jump."""
-        if self._rack_updated_s is not None:
-            self._rack_updated_s += delta_s
-        self._fresh_at = None
 
     def reset(self) -> None:
         """Forget observations and heal every sensor fault."""

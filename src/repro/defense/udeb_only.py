@@ -24,7 +24,8 @@ class UdebScheme(DefenseScheme):
     # tier knows how to fuse (see DefenseScheme.fused_after_battery).
     fused_after_battery = True
     # Supercap charge is part of the fingerprint (``ff_state`` below), so
-    # a mid-recharge bank blocks jumps until it tops off and goes static.
+    # a mid-recharge bank blocks a freeze until it tops off and goes
+    # static.
     ff_eligible = True
 
     def __init__(self, ctx: SchemeContext) -> None:

@@ -35,8 +35,7 @@ class VdebScheme(DefenseScheme):
     # SOC-proportional pool keeps nudging per-rack discharge by a few
     # watts while KiBaM bound charge equalises geometrically, so the
     # fingerprint never repeats and a lag match could only be a false
-    # positive. Opt out; vDEB-family schemes still gain from the
-    # prefix-snapshot sharing layer.
+    # positive. Opt out.
     ff_eligible = False
 
     def __init__(self, ctx: SchemeContext) -> None:
@@ -210,11 +209,6 @@ class VdebScheme(DefenseScheme):
         # Normalised to a countdown so it compares across time windows.
         state["rebalance_in_s"] = self._rebalance_due_s - now_s
         return state
-
-    def ff_shift_times(self, delta_s: float) -> None:
-        super().ff_shift_times(delta_s)
-        if np.isfinite(self._rebalance_due_s):
-            self._rebalance_due_s += delta_s
 
     def reset(self) -> None:
         super().reset()

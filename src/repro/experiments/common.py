@@ -284,7 +284,6 @@ def run_survival(
     backend: str = "vectorized",
     fault_plan: "FaultPlan | None" = None,
     grid_plan: "GridPlan | None" = None,
-    fast_forward: bool = False,
     kernels: str = "numpy",
 ) -> SimResult:
     """One survival-style run: attack at the calibrated time, stop on trip.
@@ -333,7 +332,6 @@ def run_survival(
         backend=backend,
         fault_plan=fault_plan,
         grid_plan=grid_plan,
-        fast_forward=fast_forward,
         kernels=kernels,
     )
     runner = Runner(
@@ -362,7 +360,6 @@ def prepare_survival_prefix(
     backend: str = "vectorized",
     fault_plan: "FaultPlan | None" = None,
     grid_plan: "GridPlan | None" = None,
-    fast_forward: bool = False,
     kernels: str = "numpy",
 ) -> "SimSnapshot | None":
     """Simulate the shared benign prefix of a survival cell family once.
@@ -389,7 +386,6 @@ def prepare_survival_prefix(
         backend=backend,
         fault_plan=fault_plan,
         grid_plan=grid_plan,
-        fast_forward=fast_forward,
         kernels=kernels,
     )
     runner = Runner(
@@ -423,8 +419,8 @@ def resume_survival_from_snapshot(
     Restores an independent simulation, attaches the cell's own
     adversary, and finishes the paused schedule. Bit-identical to the
     straight :func:`run_survival` call with the same arguments — proven
-    by the differential harness, relied on by the sweep's
-    prefix-sharing path.
+    by the differential harness, relied on by
+    :class:`~repro.search.FrontierSearch` forks.
     """
     sim = DataCenterSimulation.restore(snapshot)
     sim.attach_attacker(build_attacker(setup, scenario, seed=seed))
@@ -442,7 +438,6 @@ def run_throughput(
     backend: str = "vectorized",
     fault_plan: "FaultPlan | None" = None,
     grid_plan: "GridPlan | None" = None,
-    fast_forward: bool = False,
     kernels: str = "numpy",
 ) -> SimResult:
     """One throughput-style run: breakers re-arm, run the whole window.
@@ -464,7 +459,6 @@ def run_throughput(
         backend=backend,
         fault_plan=fault_plan,
         grid_plan=grid_plan,
-        fast_forward=fast_forward,
         kernels=kernels,
     )
     runner = Runner(

@@ -52,13 +52,11 @@ from ..errors import ConfigError, ReproError, SimulationError, SweepExecutionErr
 from ..faults.spec import FaultPlan
 from ..grid.spec import GridPlan
 from ..kernels import KERNEL_TIERS
-from ..sim.datacenter import DataCenterSimulation, SimSnapshot
+from ..sim.datacenter import DataCenterSimulation
 from ..sim.runner import ATTACK_DT_S
 from .common import (
     CohortMember,
     ExperimentSetup,
-    prepare_survival_prefix,
-    resume_survival_from_snapshot,
     run_survival,
     run_survival_cohort,
     run_throughput,
@@ -95,9 +93,6 @@ class SweepCell:
             cell's simulation (ride-through sweeps; window times are
             absolute simulation times, and all three backends accept
             one).
-        fast_forward: Enable quiescent-segment fast-forward for the
-            cell's simulation (bit-identical; see
-            :mod:`repro.sim.fastforward`).
         kernels: Per-step kernel tier (``"numpy"`` or ``"compiled"``),
             orthogonal to ``backend`` and bit-identical across tiers
             (see :mod:`repro.kernels`).
@@ -116,7 +111,6 @@ class SweepCell:
     backend: str = "vectorized"
     fault_plan: "FaultPlan | None" = None
     grid_plan: "GridPlan | None" = None
-    fast_forward: bool = False
     kernels: str = "numpy"
 
     def __post_init__(self) -> None:
@@ -187,7 +181,6 @@ def survival_grid_cells(
     seed: int = 7,
     per_cell_seeds: bool = False,
     backend: str = "vectorized",
-    fast_forward: bool = False,
     kernels: str = "numpy",
 ) -> "list[SweepCell]":
     """The Fig.-15-style grid: scenarios as rows, schemes as columns.
@@ -199,8 +192,6 @@ def survival_grid_cells(
             attacker's placement lottery identical across schemes so the
             grid isolates the defense).
         backend: Physics implementation for every cell.
-        fast_forward: Enable quiescent-segment fast-forward in every
-            cell (bit-identical results either way).
     """
     cells = []
     for scenario in scenarios:
@@ -220,34 +211,15 @@ def survival_grid_cells(
                     dt=dt,
                     seed=cell_seed,
                     backend=backend,
-                    fast_forward=fast_forward,
                     kernels=kernels,
                 )
             )
     return cells
 
 
-def execute_cell(
-    setup: ExperimentSetup,
-    cell: SweepCell,
-    snapshot: "SimSnapshot | None" = None,
-) -> float:
-    """Run one cell and return its scalar metric.
-
-    Module-level (not a method) so process-pool workers can pickle it.
-
-    Args:
-        snapshot: Optional shared-prefix snapshot for survival cells
-            (see :meth:`ScenarioSweep` prefix sharing); the cell forks
-            from it instead of re-simulating the benign prefix. The
-            metric is bit-identical either way.
-    """
+def execute_cell(setup: ExperimentSetup, cell: SweepCell) -> float:
+    """Run one cell and return its scalar metric."""
     if cell.mode == "survival":
-        if snapshot is not None and cell.scenario is not None:
-            result = resume_survival_from_snapshot(
-                setup, snapshot, cell.scenario, seed=cell.seed
-            )
-            return result.survival_or_window()
         result = run_survival(
             setup,
             cell.scheme,
@@ -258,7 +230,6 @@ def execute_cell(
             backend=cell.backend,
             fault_plan=cell.fault_plan,
             grid_plan=cell.grid_plan,
-            fast_forward=cell.fast_forward,
             kernels=cell.kernels,
         )
         return result.survival_or_window()
@@ -274,7 +245,6 @@ def execute_cell(
             backend=cell.backend,
             fault_plan=cell.fault_plan,
             grid_plan=cell.grid_plan,
-            fast_forward=cell.fast_forward,
             kernels=cell.kernels,
         )
         result = sim.run(
@@ -295,22 +265,19 @@ def execute_cell(
         backend=cell.backend,
         fault_plan=cell.fault_plan,
         grid_plan=cell.grid_plan,
-        fast_forward=cell.fast_forward,
         kernels=cell.kernels,
     )
     return result.throughput_ratio
 
 
-def _execute_packed(
-    args: "tuple[ExperimentSetup, SweepCell, SimSnapshot | None]",
-) -> float:
-    setup, cell, snapshot = args
-    # Positional only when a snapshot exists: cells without one keep the
-    # historical two-argument call, which tests monkeypatching
-    # ``execute_cell`` rely on.
-    if snapshot is None:
-        return execute_cell(setup, cell)
-    return execute_cell(setup, cell, snapshot)
+def _execute_in_worker(setup: ExperimentSetup, cell: SweepCell) -> float:
+    """Pool entry point that runs :func:`execute_cell`.
+
+    Module-level so workers can unpickle it by name; it looks
+    ``execute_cell`` up at call time, so a replaced module attribute (a
+    wrapper around the real function) is what the worker runs.
+    """
+    return execute_cell(setup, cell)
 
 
 def cell_fingerprint(cell: SweepCell) -> str:
@@ -526,17 +493,6 @@ class ScenarioSweep:
         backoff_s: Base of the exponential retry backoff.
         journal_path: JSONL checkpoint file; every resolved cell is
             appended and fsynced. Required for ``run(resume=True)``.
-        share_prefixes: Simulate each cell family's shared benign prefix
-            once and fork the cells from a snapshot. Families group by
-            everything *except* scenario and seed — cells diverge only
-            at attack onset, and pre-onset the attacker is a bitwise
-            no-op, so forked metrics are bit-identical to straight
-            execution (the differential harness proves it). Snapshots
-            are plain bytes shipped to pool workers, and journal resume
-            replays recorded metrics unchanged, so the hardened-sweep
-            contract is untouched. Survival cells only; a family whose
-            prefix trips, has no positive onset offset, or holds a
-            single cell silently runs straight.
     """
 
     def __init__(
@@ -548,7 +504,6 @@ class ScenarioSweep:
         max_attempts: int = 3,
         backoff_s: float = 0.5,
         journal_path: "str | None" = None,
-        share_prefixes: bool = False,
     ) -> None:
         if workers < 0:
             raise SimulationError("workers must be non-negative")
@@ -565,7 +520,6 @@ class ScenarioSweep:
         self._max_attempts = max_attempts
         self._backoff_s = backoff_s
         self._journal_path = journal_path
-        self._share_prefixes = share_prefixes
 
     @property
     def cells(self) -> "tuple[SweepCell, ...]":
@@ -598,21 +552,14 @@ class ScenarioSweep:
             if self._journal_path is not None
             else None
         )
-        snapshots: "dict[int, SimSnapshot]" = {}
         try:
             if pending:
                 pending = self._run_cohorts(pending, outcomes, journal)
-            if pending and self._share_prefixes:
-                snapshots = self._prefix_snapshots(pending)
             if pending:
                 if self._workers <= 1:
-                    self._run_sequential(
-                        pending, outcomes, journal, snapshots
-                    )
+                    self._run_sequential(pending, outcomes, journal)
                 else:
-                    self._run_parallel(
-                        pending, outcomes, journal, snapshots
-                    )
+                    self._run_parallel(pending, outcomes, journal)
         finally:
             if journal is not None:
                 journal.close()
@@ -716,73 +663,6 @@ class ScenarioSweep:
         return [i for i in pending if i not in resolved]
 
     # ------------------------------------------------------------------ #
-    # Prefix sharing                                                      #
-    # ------------------------------------------------------------------ #
-
-    def _prefix_snapshots(
-        self, pending: "Sequence[int]"
-    ) -> "dict[int, SimSnapshot]":
-        """Snapshot each eligible cell family's shared benign prefix.
-
-        Returns one snapshot per *cell index*; families map many indices
-        to the same object (snapshots are immutable bytes, and every
-        fork restores its own independent simulation). Ineligible or
-        tripped-prefix families are simply absent — their cells run
-        straight.
-        """
-        families: "dict[tuple, list[int]]" = {}
-        for index in pending:
-            cell = self._cells[index]
-            if (
-                cell.mode != "survival"
-                or cell.scenario is None
-                or cell.scenario.start_s <= 0.0
-                or cell.backend == "cohort"
-            ):
-                # Cohort cells never fork from snapshots: their batched
-                # path shares the prefix internally (narrow-cohort
-                # expansion), and prepare_survival_prefix cannot build a
-                # cohort-backend simulation for the leftovers.
-                continue
-            key = (
-                cell.scheme,
-                cell.window_s,
-                cell.dt,
-                cell.initial_battery_soc,
-                cell.backend,
-                cell.fast_forward,
-                cell.kernels,
-                repr(cell.fault_plan),
-                repr(cell.grid_plan),
-            )
-            families.setdefault(key, []).append(index)
-        snapshots: "dict[int, SimSnapshot]" = {}
-        for members in families.values():
-            if len(members) < 2:
-                continue  # nothing to share
-            offset = min(
-                self._cells[i].scenario.start_s for i in members
-            )
-            first = self._cells[members[0]]
-            snapshot = prepare_survival_prefix(
-                self._setup,
-                first.scheme,
-                offset,
-                window_s=first.window_s,
-                dt=first.dt,
-                backend=first.backend,
-                fault_plan=first.fault_plan,
-                grid_plan=first.grid_plan,
-                fast_forward=first.fast_forward,
-                kernels=first.kernels,
-            )
-            if snapshot is None:
-                continue  # prefix tripped: run the family straight
-            for index in members:
-                snapshots[index] = snapshot
-        return snapshots
-
-    # ------------------------------------------------------------------ #
     # Execution paths                                                     #
     # ------------------------------------------------------------------ #
 
@@ -803,21 +683,15 @@ class ScenarioSweep:
         pending: "list[int]",
         outcomes: "dict[int, _Outcome]",
         journal: "_Journal | None",
-        snapshots: "dict[int, SimSnapshot] | None" = None,
     ) -> None:
         """In-process execution (also the no-pool fallback path)."""
-        snapshots = snapshots or {}
         for index in pending:
             outcome = _Outcome()
             while True:
                 outcome.attempts += 1
                 try:
-                    outcome.metric = _execute_packed(
-                        (
-                            self._setup,
-                            self._cells[index],
-                            snapshots.get(index),
-                        )
+                    outcome.metric = execute_cell(
+                        self._setup, self._cells[index]
                     )
                     outcome.error = None
                     break
@@ -840,17 +714,15 @@ class ScenarioSweep:
         pending: "list[int]",
         outcomes: "dict[int, _Outcome]",
         journal: "_Journal | None",
-        snapshots: "dict[int, SimSnapshot] | None" = None,
     ) -> None:
         """Pool execution with timeouts, retries and pool rebuilds."""
-        snapshots = snapshots or {}
         try:
             pool = ProcessPoolExecutor(max_workers=self._workers)
         except Exception:
             # No pool in this environment (fork disabled, rlimits, …):
             # degrade to the sequential path rather than failing the
             # whole campaign.
-            self._run_sequential(pending, outcomes, journal, snapshots)
+            self._run_sequential(pending, outcomes, journal)
             return
         states = {index: _Outcome() for index in pending}
         queue = list(pending)
@@ -858,12 +730,7 @@ class ScenarioSweep:
             while queue:
                 jobs = {
                     index: pool.submit(
-                        _execute_packed,
-                        (
-                            self._setup,
-                            self._cells[index],
-                            snapshots.get(index),
-                        ),
+                        _execute_in_worker, self._setup, self._cells[index]
                     )
                     for index in queue
                 }

@@ -239,41 +239,6 @@ class FaultInjector:
         """The driving plan."""
         return self._plan
 
-    @property
-    def any_active(self) -> bool:
-        """True while any spec is in force."""
-        return any(self._active)
-
-    def next_edge_after(self, time_s: float) -> float:
-        """Earliest fault edge strictly after ``time_s`` (``inf`` if none).
-
-        Includes one-shot ``at_s`` instants, unlike the runner-facing
-        :meth:`FaultPlan.windows`.
-        """
-        upcoming = [
-            t for t in self._plan.edge_times() if t > time_s + 1e-9
-        ]
-        return min(upcoming, default=float("inf"))
-
-    def ff_state(self) -> dict:
-        """Evolving state for the fast-forward fingerprint.
-
-        Active flags, captured freeze vectors and the noise RNG streams.
-        A noise stream advances every active step, so its state can only
-        fingerprint-match while no noise spec is active — which is
-        exactly when skipping steps is safe.
-        """
-        return {
-            "active": np.array(self._active, dtype=bool),
-            "frozen": {
-                str(k): self._frozen[k] for k in sorted(self._frozen)
-            },
-            "rng": {
-                str(k): repr(self._rngs[k].bit_generator.state)
-                for k in sorted(self._rngs)
-            },
-        }
-
     def active_specs(self) -> "tuple[int, ...]":
         """Positions of currently-active specs (diagnostics/tests)."""
         return tuple(

@@ -388,22 +388,6 @@ class FaultPlan:
         for spec in self.specs:
             spec.validate_for(racks)
 
-    def edge_times(self) -> "tuple[float, ...]":
-        """Every instant the set of active specs can change, sorted.
-
-        Window starts, window ends, *and* one-shot ``at_s`` instants
-        (which :meth:`windows` deliberately excludes). The fast-forward
-        guard refuses to jump across any of these.
-        """
-        times: "set[float]" = set()
-        for spec in self.specs:
-            if spec.one_shot:
-                times.add(spec.at_s)  # type: ignore[attr-defined]
-            else:
-                times.add(spec.start_s)  # type: ignore[attr-defined]
-                times.add(spec.end_s)  # type: ignore[attr-defined]
-        return tuple(sorted(times))
-
     def windows(self) -> "list[tuple[float, float]]":
         """The windowed specs' ``(start_s, end_s)`` pairs, in spec order.
 

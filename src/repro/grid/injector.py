@@ -196,16 +196,6 @@ class GridInjector:
         ]
         return min(upcoming, default=float("inf"))
 
-    def ff_state(self) -> dict:
-        """Evolving state for the fast-forward fingerprint.
-
-        Only the active flags evolve — everything else is a pure
-        function of the plan and the clock (and fast-forward refuses to
-        jump while any window is open, so duty phases are never
-        fingerprinted mid-flight).
-        """
-        return {"active": np.array(self._active, dtype=bool)}
-
     def active_specs(self) -> "tuple[int, ...]":
         """Positions of currently-active specs (diagnostics/tests)."""
         return tuple(

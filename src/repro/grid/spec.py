@@ -207,8 +207,7 @@ class FrequencyRegulationDuty(GridEventSpec):
         """Whether the duty cycle is in its discharge phase at ``time_s``.
 
         A pure function of the spec and the timestamp — no state — so
-        every backend (and the fast-forward verifier) recomputes the
-        same phase from the same clock.
+        every backend recomputes the same phase from the same clock.
         """
         if not self.active_at(time_s):
             return False
@@ -249,12 +248,12 @@ class GridPlan:
             spec.validate_for(racks)
 
     def edge_times(self) -> "tuple[float, ...]":
-        """Every window start/end, sorted — the fast-forward guard set.
+        """Every window start/end, sorted — the cohort freeze guard set.
 
         Duty-cycle phase flips inside a regulation window are *not*
         edges here: the injector counts an open window as active, and
-        fast-forward never jumps while anything is active, so phases
-        can never be leapfrogged.
+        the cohort never freezes a family while anything is active, so
+        phases can never be leapfrogged.
         """
         times: "set[float]" = set()
         for spec in self.specs:

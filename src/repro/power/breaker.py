@@ -146,15 +146,6 @@ class CircuitBreaker:
             instantaneous=instantaneous,
         )
 
-    def ff_state(self) -> dict:
-        """Evolving state for the fast-forward fingerprint (the rating is
-        included because re-targeting changes future heating)."""
-        return {
-            "heat": self._heat,
-            "tripped": self._tripped,
-            "rated_w": self._config.rated_w,
-        }
-
     def reset(self) -> None:
         """Close the breaker and clear accumulated heat (manual re-arm)."""
         self._tripped = False

@@ -139,13 +139,6 @@ class ScalarBreakerBank:
         """Close breaker ``index`` and clear its heat (manual re-arm)."""
         self._breakers[index].reset()
 
-    def ff_state(self) -> dict:
-        """Evolving state for the fast-forward fingerprint."""
-        states = [b.ff_state() for b in self._breakers]
-        return {
-            key: np.array([s[key] for s in states]) for key in states[0]
-        }
-
     def reset_all(self) -> None:
         """Re-arm every breaker in the bank."""
         for breaker in self._breakers:
@@ -282,14 +275,6 @@ class BreakerBankState:
         self._tripped[index] = False
         self._heat[index] = 0.0
         self._trip_events[index] = None
-
-    def ff_state(self) -> dict:
-        """Evolving state for the fast-forward fingerprint."""
-        return {
-            "heat": self._heat,
-            "tripped": self._tripped,
-            "rated_w": self._rated_w,
-        }
 
     def reset_all(self) -> None:
         """Re-arm every breaker in the bank."""

@@ -99,12 +99,12 @@ class CapController:
         return False
 
     def ff_state(self) -> dict:
-        """Evolving state for the fast-forward fingerprint.
+        """Evolving state for the cohort freeze fingerprint.
 
         All fields are durations/counters (no absolute times), so they
         compare across time windows directly. ``active_time_s`` grows on
-        every capped step, which automatically refuses fast-forward while
-        a cap is engaged.
+        every capped step, which automatically refuses a freeze while a
+        cap is engaged.
         """
         return {
             "pending_s": self._pending_s,

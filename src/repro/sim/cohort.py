@@ -36,10 +36,10 @@ rules that make it hold:
 * A quiescent family (``ff_eligible`` scheme at a proven fixed point —
   the battery full, no shaving, no charging, no capping) is *frozen*:
   its per-step dispatch call is skipped entirely while the composite
-  buffers keep its constant outputs. The fixed point is proven the way
-  :class:`~repro.sim.fastforward.SegmentFastForward` proves segment
-  blocks — matching ``ff_state`` fingerprints one management period
-  apart plus an event-free, power-inert captured period — and guarded
+  buffers keep its constant outputs. The fixed point is proven by
+  matching ``ff_state`` fingerprints (:func:`state_fingerprint`) one
+  management period apart plus an event-free, power-inert captured
+  period — and guarded
   by value on every input that could perturb it (trace epoch, attack
   onsets, breaker trips, metered telemetry at each publication), so a
   frozen family's skipped dispatches are bitwise no-ops by
@@ -50,7 +50,9 @@ from __future__ import annotations
 
 import copy
 import enum
+import hashlib
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -92,7 +94,6 @@ from .events import (
     SimEvent,
     SoftLimitsReassigned,
 )
-from .fastforward import FastForwardStats, state_fingerprint
 from .recorder import Recorder
 
 __all__ = [
@@ -101,6 +102,54 @@ __all__ = [
     "CohortTopology",
     "run_cohort_expanded",
 ]
+
+
+def _feed(digest, value) -> None:
+    """Feed one value into the hash with an unambiguous type tag."""
+    if value is None:
+        digest.update(b"\x00N")
+    elif isinstance(value, (bool, np.bool_)):
+        digest.update(b"\x00T" if value else b"\x00F")
+    elif isinstance(value, (int, np.integer)):
+        digest.update(b"\x00i" + struct.pack("<q", int(value)))
+    elif isinstance(value, (float, np.floating)):
+        # Raw IEEE-754 bits: 0.0 vs -0.0 and NaN payloads all count as
+        # distinct state, which is exactly the bitwise contract.
+        digest.update(b"\x00f" + struct.pack("<d", float(value)))
+    elif isinstance(value, str):
+        raw = value.encode("utf-8")
+        digest.update(b"\x00s" + struct.pack("<q", len(raw)) + raw)
+    elif isinstance(value, np.ndarray):
+        arr = np.ascontiguousarray(value)
+        head = f"{arr.dtype.str}|{arr.shape}".encode("utf-8")
+        digest.update(b"\x00a" + struct.pack("<q", len(head)) + head)
+        digest.update(arr.tobytes())
+    elif isinstance(value, dict):
+        digest.update(b"\x00d" + struct.pack("<q", len(value)))
+        for key in sorted(value, key=str):
+            _feed(digest, str(key))
+            _feed(digest, value[key])
+    elif isinstance(value, (list, tuple)):
+        digest.update(b"\x00l" + struct.pack("<q", len(value)))
+        for item in value:
+            _feed(digest, item)
+    else:
+        raise SimulationError(
+            f"cannot fingerprint a {type(value).__name__} in ff_state"
+        )
+
+
+def state_fingerprint(state: dict) -> bytes:
+    """Canonical SHA-256 digest of a nested ``ff_state`` dict.
+
+    Dict keys are visited in sorted order, floats hash by their IEEE-754
+    bit pattern and arrays by dtype, shape and raw bytes, so two digests
+    are equal exactly when the states are bitwise equal (up to hash
+    collision, which for SHA-256 is not a practical concern).
+    """
+    digest = hashlib.sha256()
+    _feed(digest, state)
+    return digest.digest()
 
 
 @dataclass(frozen=True)
@@ -519,8 +568,6 @@ class CohortSimulation(DataCenterSimulation):
         self._derate_dirty = False
         self._recorder_row_budget = None
         self._record_pdu_aggregates = False
-        self.fast_forward = False
-        self.fast_forward_stats = FastForwardStats()
         self._paused = None
         self.attacker = None
         self._attack_nodes = None
@@ -1102,10 +1149,9 @@ class CohortSimulation(DataCenterSimulation):
     # An ``ff_eligible`` family at a fixed point — full battery, nothing
     # shaving, charging or capping — burns most of the cohort's step
     # budget on dispatch calls that provably change nothing. The freeze
-    # proves the fixed point the same way SegmentFastForward proves a
-    # quiescent segment (matching ``ff_state`` fingerprints one
-    # management period apart, an event-free captured period) with one
-    # extra requirement: every captured step must be *power-inert* (all
+    # proves the fixed point by matching ``ff_state`` fingerprints one
+    # management period apart over an event-free captured period, and
+    # requires every captured step to be *power-inert* (all
     # battery/charge/uDEB vectors zero), which makes the scheme state
     # constant at every offset of the period, not just at boundaries —
     # so recording may sample SOC anywhere. While frozen the dispatch
@@ -1137,7 +1183,8 @@ class CohortSimulation(DataCenterSimulation):
             # window perturbs dispatch, and ``stage_grid_cells`` keeps
             # running while a family is frozen, so an edge inside the
             # period would change inputs the skipped dispatch never
-            # sees. Probe one step back, like the fast-forward guard.
+            # sees. Probe one step back: an edge landing exactly on t
+            # has not been applied yet when this guard runs.
             horizon = t + (self._freeze_period + 1) * dt
             for _, injector in family.grid_injectors:
                 if (
@@ -2058,15 +2105,14 @@ def run_cohort_expanded(
 
     Before the earliest attack onset every cell of a scheme is bitwise
     identical, so the pre-onset window runs as a *narrow* cohort of one
-    benign cell per scheme (the prefix-sharing idea behind
-    ``ScenarioSweep``'s snapshot reuse, applied inside one cohort). At
-    an aligned fork boundary the narrow state is tiled out to the full
-    width (:meth:`CohortSimulation.adopt_prefix`), each wide cell's
-    result seeded with a deep copy of its scheme's narrow result, and
-    the remaining window runs wide. Ineligible inputs (non-integral
-    management period, onset before the first aligned boundary, nothing
-    to deduplicate) or a narrow prefix that trips a breaker fall back
-    to the plain single-pass run; results are identical either way.
+    benign cell per scheme. At an aligned fork boundary the narrow state
+    is tiled out to the full width (:meth:`CohortSimulation.adopt_prefix`),
+    each wide cell's result seeded with a deep copy of its scheme's
+    narrow result, and the remaining window runs wide. Ineligible
+    inputs (non-integral management period, onset before the first
+    aligned boundary, nothing to deduplicate) or a narrow prefix that
+    trips a breaker fall back to the plain single-pass run; results are
+    identical either way.
     """
     wide = CohortSimulation(
         config, trace, cells, management_interval_s, overshoot_tolerance,

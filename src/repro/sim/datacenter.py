@@ -54,7 +54,6 @@ from .events import (
     OverloadEvent,
     SimEvent,
 )
-from .fastforward import FastForwardStats, SegmentFastForward
 from .recorder import Recorder
 from .runner import AttackWindow, Segment
 
@@ -69,7 +68,7 @@ __all__ = [
 
 #: Format version of :class:`SimSnapshot` payloads. Bumped whenever the
 #: pickled object graph changes incompatibly.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -221,14 +220,6 @@ class StepContext:
         state: The scheme-visible observation for this tick.
         dispatch: The scheme's decision for this tick.
         utility: Per-rack utility-feed draw after the dispatch.
-        delivered_inc: Exact addend this step contributed to
-            ``result.delivered_work`` (captured so the fast-forward
-            replay repeats the identical float addition).
-        demanded_inc: Exact addend contributed to ``demanded_work``.
-        row_scalars: The scalar recorder row appended this step, or
-            ``None`` when the step was not recorded.
-        row_vectors: The vector channels appended this step (live
-            references — copy before retaining), or ``None``.
     """
 
     time_s: float
@@ -244,10 +235,6 @@ class StepContext:
     state: "StepState | None" = None
     dispatch: "Dispatch | None" = None
     utility: "np.ndarray | None" = None
-    delivered_inc: float = 0.0
-    demanded_inc: float = 0.0
-    row_scalars: "dict[str, float] | None" = None
-    row_vectors: "dict[str, np.ndarray] | None" = None
 
 
 class DataCenterSimulation:
@@ -300,12 +287,6 @@ class DataCenterSimulation:
             defaults to three management intervals, so one missed meter
             publication is tolerated and held, while a sustained dropout
             forces the fail-safe path.
-        fast_forward: Enable quiescent-segment fast-forward (see
-            :mod:`repro.sim.fastforward`). Results are bit-identical to
-            per-step execution — the controller only jumps blocks it has
-            proven periodic and refuses whenever any precondition is
-            unclear. Off by default; :attr:`fast_forward_stats` reports
-            what the layer did.
         recorder_row_budget: Bound every run's recorder to at most this
             many rows per channel: once a channel fills the budget it is
             decimated in place (every other row dropped, sampling stride
@@ -333,7 +314,6 @@ class DataCenterSimulation:
         fault_plan: "FaultPlan | None" = None,
         grid_plan: "GridPlan | None" = None,
         telemetry_ttl_s: "float | None" = None,
-        fast_forward: bool = False,
         recorder_row_budget: "int | None" = None,
         record_pdu_aggregates: bool = False,
     ) -> None:
@@ -445,8 +425,6 @@ class DataCenterSimulation:
             raise SimulationError("recorder row budget must be at least 2")
         self._recorder_row_budget = recorder_row_budget
         self._record_pdu_aggregates = bool(record_pdu_aggregates)
-        self.fast_forward = bool(fast_forward)
-        self.fast_forward_stats = FastForwardStats()
         self._paused: "_PausedRun | None" = None
         self.attacker = None
         self._attack_nodes: "np.ndarray | None" = None
@@ -514,11 +492,6 @@ class DataCenterSimulation:
     def grid_injector(self):
         """The active :class:`~repro.grid.injector.GridInjector`, if any."""
         return self._grid
-
-    @property
-    def management_interval_s(self) -> float:
-        """Metering/actuation cadence of the software plane."""
-        return self._mgmt_interval
 
     def attach_attacker(self, attacker: Attacker) -> None:
         """Install (or replace) the adversary on a built simulation.
@@ -796,10 +769,8 @@ class DataCenterSimulation:
             asleep=ctx.asleep,
             down_racks=ctx.down,
         )
-        ctx.delivered_inc = delivered * ctx.dt
-        ctx.demanded_inc = demanded * ctx.dt
-        ctx.result.delivered_work += ctx.delivered_inc
-        ctx.result.demanded_work += ctx.demanded_inc
+        ctx.result.delivered_work += delivered * ctx.dt
+        ctx.result.demanded_work += demanded * ctx.dt
         if ctx.record:
             self._record(ctx)
 
@@ -923,43 +894,6 @@ class DataCenterSimulation:
         self._was_over[-1] = over_cluster
         return total
 
-    def ff_state(self, now_s: float) -> dict:
-        """Complete evolving state for the fast-forward fingerprint.
-
-        Everything the step pipeline reads or writes outside the
-        :class:`StepContext` must appear here (directly or via a
-        component's ``ff_state``): two boundaries with equal fingerprints
-        must imply the intervening blocks are bitwise interchangeable.
-        """
-        state = {
-            "scheme": self.scheme.ff_state(now_s),
-            "breakers": self.breakers.ff_state(),
-            "was_over": self._was_over,
-            "meter_energy": self._meter_energy,
-            "meter_util": self._meter_util,
-            "meter_time": self._meter_time,
-            "metered_rack_avg": self._metered_rack_avg,
-            "metered_server_util": self._metered_server_util,
-            "breaker_derate": self._breaker_derate,
-            "derate_dirty": self._derate_dirty,
-        }
-        if self._injector is not None:
-            state["injector"] = self._injector.ff_state()
-        if self._grid is not None:
-            state["grid"] = self._grid.ff_state()
-            state["grid_derate"] = self._grid_derate
-        return state
-
-    def ff_shift_times(self, delta_s: float) -> None:
-        """Advance absolute-time bookkeeping after a fast-forward jump.
-
-        Only state that stores *wall-clock* timestamps (rather than
-        durations) needs shifting; the fingerprint normalises such fields
-        relative to ``now_s``, so the jump is valid exactly when shifting
-        them reproduces the replayed block's end state.
-        """
-        self.scheme.ff_shift_times(delta_s)
-
     # ------------------------------------------------------------------ #
     # Running                                                             #
     # ------------------------------------------------------------------ #
@@ -1082,25 +1016,10 @@ class DataCenterSimulation:
             initial_steps=initial_steps,
         )
         step_index = initial_steps
-        ff = None
-        if self.fast_forward:
-            ff = SegmentFastForward(self, segment, result, limit_s=limit_s)
-            if not ff.enabled:
-                ff = None
-
         record_every = segment.record_every
 
         def step(time_s: float, dt: float) -> None:
             nonlocal step_index
-            if ff is not None:
-                skipped = ff.begin_step(step_index, time_s)
-                if skipped:
-                    # The replay already landed every recorder row and
-                    # work addend; the engine's own post-hook increment
-                    # supplies the final +1.
-                    engine.advance_steps(skipped - 1)
-                    step_index += skipped
-                    return
             ctx = StepContext(
                 time_s=time_s,
                 dt=dt,
@@ -1109,8 +1028,6 @@ class DataCenterSimulation:
             )
             for stage in self.pipeline:
                 stage(ctx)
-            if ff is not None:
-                ff.observe(ctx)
             step_index += 1
 
         engine.add_hook(step)
@@ -1262,7 +1179,7 @@ class DataCenterSimulation:
         assert ctx.demand is not None and ctx.utility is not None
         assert ctx.dispatch is not None
         rec = ctx.result.recorder
-        scalars = dict(
+        rec.append_row(
             time_s=ctx.time_s,
             total_demand_w=float(np.sum(ctx.demand)),
             total_utility_w=float(np.sum(ctx.utility)),
@@ -1273,7 +1190,6 @@ class DataCenterSimulation:
             capped_racks=float(np.sum(ctx.dispatch.capped_racks)),
             asleep_servers=float(np.sum(ctx.dispatch.asleep_servers)),
         )
-        rec.append_row(**scalars)
         soc = self.scheme.fleet.soc_vector()
         if self._record_pdu_aggregates:
             # Streaming per-PDU aggregation: the recorder holds one lane
@@ -1285,21 +1201,12 @@ class DataCenterSimulation:
             pdu_utility = topo.pdu_sums(ctx.utility)
             rec.append_vector("pdu_soc", pdu_soc, copy=False)
             rec.append_vector("pdu_utility_w", pdu_utility, copy=False)
-            ctx.row_scalars = scalars
-            ctx.row_vectors = {
-                "pdu_soc": pdu_soc,
-                "pdu_utility_w": pdu_utility,
-            }
             return
         rec.append_vector("rack_soc", soc)
         # ``ctx.utility`` is a fresh float64 array built this step and
         # never reused after recording, so the documented copy=False path
         # skips the redundant re-coercion.
         rec.append_vector("rack_utility_w", ctx.utility, copy=False)
-        # Exposed so the fast-forward capture can reuse the exact values
-        # just recorded instead of recomputing them.
-        ctx.row_scalars = scalars
-        ctx.row_vectors = {"rack_soc": soc, "rack_utility_w": ctx.utility}
 
 
 def truncate_snapshot_schedule(

@@ -115,26 +115,12 @@ class Engine:
             hook(now, self._dt)
         self._steps_done += 1
 
-    def advance_steps(self, steps: int) -> None:
-        """Jump the clock forward by ``steps`` without firing hooks.
-
-        The fast-forward path calls this from inside a hook after it has
-        replayed the skipped steps' effects itself; the derived clock
-        keeps every later step boundary exact.
-        """
-        if steps < 0:
-            raise SimulationError("cannot advance by a negative step count")
-        self._steps_done += steps
-
     def run_until(self, end_s: float) -> RunResult:
         """Run steps until ``end_s`` or a stop predicate fires.
 
         The final step is never shortened: the run covers
         ``ceil((end - now) / dt)`` whole steps, so callers that need exact
         alignment should pick ``dt`` dividing the duration.
-
-        ``RunResult.steps`` counts steps of simulated time, including any
-        fast-forwarded via :meth:`advance_steps`.
         """
         if end_s <= self.now_s:
             raise SimulationError(
@@ -143,8 +129,7 @@ class Engine:
         start = self.now_s
         begin_steps = self._steps_done
         stopped = False
-        # The loop inlines :meth:`step` and ``now_s``; it re-reads
-        # ``_steps_done`` after the hooks, which may advance it.
+        # The loop inlines :meth:`step` and ``now_s``.
         hooks = self._hooks
         stops = self._stops
         dt = self._dt

@@ -8,8 +8,7 @@ desynchronised instrumentation early.
 
 Storage is preallocated: each channel owns a capacity-doubling numpy
 buffer (1-D for scalars, 2-D for vectors), so appends are O(1) amortised
-with no per-step Python-list or per-sample allocation, and fast-forwarded
-segments can land whole blocks at once via :meth:`Recorder.append_block`.
+with no per-step Python-list or per-sample allocation.
 :meth:`Recorder.as_array` exposes the filled prefix as a zero-copy view.
 The reading API (``series``/``matrix``/``check_aligned``/``to_csv``) is
 unchanged from the list-backed recorder, so experiment and figure code is
@@ -264,39 +263,6 @@ class Recorder:
         for channel, value in values.items():
             self.append(channel, value)
 
-    def append_block(self, channel: str, values: np.ndarray) -> None:
-        """Bulk-append many samples to one channel in a single write.
-
-        The fast-forward path lands whole quiescent blocks this way: a
-        1-D array extends a scalar channel, a ``(rows, width)`` array a
-        vector channel. New channels are declared by the block's shape.
-        """
-        block = np.asarray(values, dtype=float)
-        if block.ndim == 1:
-            if channel in self._vector_channels:
-                raise SimulationError(
-                    f"channel {channel!r} holds vectors; block must be 2-D"
-                )
-            buffer = self._channels.get(channel)
-            if buffer is None:
-                buffer = self._channels[channel] = _ScalarBuffer(
-                    self._row_budget
-                )
-            buffer.extend(block)
-        elif block.ndim == 2:
-            if channel in self._channels:
-                raise SimulationError(
-                    f"channel {channel!r} holds scalars; block must be 1-D"
-                )
-            buffer = self._vector_channels.get(channel)
-            if buffer is None:
-                buffer = self._vector_channels[channel] = _VectorBuffer(
-                    block.shape[1], self._row_budget
-                )
-            buffer.extend(block)
-        else:
-            raise SimulationError("blocks must be 1-D or 2-D")
-
     # ------------------------------------------------------------------ #
     # Reading                                                             #
     # ------------------------------------------------------------------ #
@@ -403,17 +369,6 @@ class ListRecorder(Recorder):
         self._vector_lists.setdefault(channel, []).append(
             np.asarray(value, dtype=float).copy()
         )
-
-    def append_block(self, channel: str, values: np.ndarray) -> None:
-        block = np.asarray(values, dtype=float)
-        if block.ndim == 1:
-            self._scalar_lists.setdefault(channel, []).extend(
-                float(v) for v in block
-            )
-        else:
-            self._vector_lists.setdefault(channel, []).extend(
-                block[i].copy() for i in range(block.shape[0])
-            )
 
     def _materialise(self) -> None:
         """Flush the lists into the buffer store for reads."""

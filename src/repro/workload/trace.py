@@ -184,8 +184,8 @@ class UtilizationTrace:
         """Time until which :meth:`at` keeps returning the same sample.
 
         Past the final sample the trace holds forever, so the bound is
-        ``inf`` there. Used by the fast-forward guard to cap a jump at
-        the next workload change.
+        ``inf`` there. Used by the cohort freeze guard to end a freeze
+        at the next workload change.
         """
         idx = int((time_s - self._start_s) // self._interval_s)
         idx = min(max(idx, 0), self.timestamps - 1)

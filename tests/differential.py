@@ -379,8 +379,7 @@ def server_states(draw) -> ServerState:
 def telemetry_sequences(draw, racks: int) -> "tuple[float, float, tuple]":
     """``(start_s, dt, events)``: observations on a fixed step grid.
 
-    Each event is ``("observe", steps_ahead, rack_mask_or_None)`` or
-    ``("shift", steps_ahead)`` (a fast-forward jump). Masked
+    Each event is ``(steps_ahead, rack_mask_or_None)``. Masked
     observations (a dropout or comm fault) interleave with unmasked
     ones; masks include all-true (every channel arrived, but through
     the masked path) and all-false (nothing arrived).
@@ -390,16 +389,13 @@ def telemetry_sequences(draw, racks: int) -> "tuple[float, float, tuple]":
     events = []
     for _ in range(draw(st.integers(min_value=1, max_value=12))):
         ahead = draw(st.integers(min_value=0, max_value=80))
-        if draw(st.integers(0, 5)) == 0:
-            events.append(("shift", ahead))
-            continue
         mask = draw(
             st.none()
             | st.just((True,) * racks)
             | st.just((False,) * racks)
             | st.tuples(*[st.booleans() for _ in range(racks)])
         )
-        events.append(("observe", ahead, mask))
+        events.append((ahead, mask))
     return start, dt, tuple(events)
 
 
@@ -892,29 +888,28 @@ def dispatch_schedules(draw) -> DispatchSchedule:
 
 @dataclass(frozen=True)
 class RunToggles:
-    """Which PR-5 fast paths a differential run switches on.
+    """How a differential run is executed.
 
-    The contract under test: *any* combination of backend, fast-forward
-    and snapshot-forked execution publishes a run bit-identical to the
-    plain per-step vectorized pipeline. ``fork_step`` of ``None`` means a
-    straight :meth:`~repro.sim.datacenter.DataCenterSimulation.run`;
-    otherwise the run pauses after that many steps, snapshots, restores
-    an independent copy and resumes it.
+    The contract under test: *any* combination of backend and
+    snapshot-forked execution publishes a run bit-identical to the
+    plain per-step pipeline of the same backend. ``fork_step`` of
+    ``None`` means a straight
+    :meth:`~repro.sim.datacenter.DataCenterSimulation.run`; otherwise
+    the run pauses after that many steps, snapshots, restores an
+    independent copy and resumes it.
 
     Attributes:
         backend: ``"scalar"`` or ``"vectorized"``.
-        fast_forward: Whether the quiescent-segment fast path is armed.
         fork_step: Pause/snapshot/resume boundary in steps, or ``None``.
     """
 
     backend: str
-    fast_forward: bool
     fork_step: "int | None"
 
 
 @st.composite
 def run_toggles(draw, max_fork_step: int) -> RunToggles:
-    """All fast-path combinations, with fork points on the step grid.
+    """Backend x fork combinations, with fork points on the step grid.
 
     ``max_fork_step`` bounds the pause point (exclusive of the run ends:
     a fork at step 0 or at the final step degenerates to a straight
@@ -928,7 +923,6 @@ def run_toggles(draw, max_fork_step: int) -> RunToggles:
     )
     return RunToggles(
         backend=draw(st.sampled_from(("scalar", "vectorized"))),
-        fast_forward=draw(st.booleans()),
         fork_step=fork,
     )
 
@@ -937,7 +931,7 @@ def assert_results_identical(label: str, reference, candidate) -> None:
     """Demand *bit-identical* :class:`SimResult`\\ s, field by field.
 
     Stronger than :func:`assert_agree`: the fast paths (recorder
-    buffers, fast-forward replay, snapshot forking) are designed to
+    buffers, snapshot forking, cohort stacking) are designed to
     reproduce the per-step pipeline exactly, so every work integral,
     every recorder sample, every event and every trip must match with
     ``==``, not within a tolerance.

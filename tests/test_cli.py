@@ -31,6 +31,18 @@ def test_requires_command():
         main([])
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench"],
+    ["bench", "--scale", "--cohort"],
+    ["bench", "--cohort", "--compiled"],
+])
+def test_bench_needs_exactly_one_benchmark(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "--scale" in capsys.readouterr().err
+
+
 def test_library_error_is_one_line_exit_2(capsys):
     assert main(["survive", "--window", "0"]) == 2
     captured = capsys.readouterr()

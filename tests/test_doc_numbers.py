@@ -53,11 +53,8 @@ def _check(rows, expected) -> None:
 def test_sweep_table_matches_bench_sweep():
     bench = _bench("BENCH_sweep.json")
     labels = {
-        "pr2_baseline": "`pr2_baseline` (list recorder, no ff, no sharing)",
+        "pr2_baseline": "`pr2_baseline` (list recorder)",
         "recorder_only": "`recorder_only`",
-        "ff_only": "`ff_only`",
-        "snapshot_only": "`snapshot_only`",
-        "all_three": "`all_three`",
         "cohort": "`cohort` (all 36 cells as one stacked simulation)",
     }
     assert set(labels) == set(bench["configs"])
@@ -83,6 +80,54 @@ def test_search_table_matches_bench_search():
     }
     rows = _rows("| configuration | candidates/s | speedup vs naive |")
     _check(rows, expected)
+
+
+#: One compiled-tier row, ``| section | numpy | compiled | speedup× |``
+#: (speedup optionally bold), with both timings in µs or s.
+COMPILED_ROW = re.compile(
+    r"^\| (?P<label>[^|]+?) \| (?P<numpy>[0-9.]+) (?:µs|s) \| "
+    r"(?P<compiled>[0-9.]+) (?:µs|s) \| \**(?P<speedup>[0-9.]+)×\** \|$",
+    re.MULTILINE,
+)
+
+
+def test_compiled_table_matches_bench_compiled():
+    bench = _bench("BENCH_compiled.json")
+    kernels = bench["kernels"]
+    end_to_end = bench["end_to_end"]
+    expected = {
+        "fused dispatch (132 branches, live tick)": (
+            kernels["dispatch"]["numpy_us"],
+            kernels["dispatch"]["compiled_us"],
+            kernels["dispatch"]["speedup"],
+        ),
+        "breaker thermal step (132 branches)": (
+            kernels["breaker"]["numpy_us"],
+            kernels["breaker"]["compiled_us"],
+            kernels["breaker"]["speedup"],
+        ),
+        "steady-drain replay (4 stacked cells, 1 800 s)": (
+            kernels["steady_drain"]["numpy_s"],
+            kernels["steady_drain"]["compiled_s"],
+            kernels["steady_drain"]["speedup"],
+        ),
+        "end-to-end Phase-I sustained-overload sweep": (
+            end_to_end["numpy_s"],
+            end_to_end["compiled_s"],
+            end_to_end["speedup"],
+        ),
+    }
+    heading = "| section | numpy | compiled | speedup |"
+    start = README.index(heading)
+    end = README.index("\n\n", start + len(heading))
+    rows = {
+        m["label"]: (m["numpy"], m["compiled"], m["speedup"])
+        for m in COMPILED_ROW.finditer(README[start:end])
+    }
+    assert set(rows) == set(expected), "table rows differ from the bench"
+    for label, values in expected.items():
+        for value, shown in zip(values, rows[label]):
+            assert shown == _printed(value, shown), label
 
 
 @pytest.mark.parametrize("value, shown, text", [

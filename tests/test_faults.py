@@ -244,27 +244,20 @@ class TestTelemetryView:
         start, dt, events = sequence
         fast, general = self.make(ttl=30.0), self.make(ttl=30.0)
         step = 0
-        observed_at = start
-        for event in events:
-            step += event[1]
+        for ahead, mask in events:
+            step += ahead
             now = start + step * dt
-            if event[0] == "shift":
-                fast.ff_shift_times(event[1] * dt)
-                general.ff_shift_times(event[1] * dt)
-            else:
-                mask = event[2]
-                reading = np.full(4, float(step))
-                fast.observe(
-                    now, reading, np.zeros(8),
-                    rack_mask=None if mask is None else np.array(mask),
-                )
-                general.observe(
-                    now, reading, np.zeros(8),
-                    rack_mask=np.array(mask if mask is not None
-                                       else (True,) * 4),
-                )
-                observed_at = now
-            probes = (observed_at, now, now + dt, start + (step + 61) * dt)
+            reading = np.full(4, float(step))
+            fast.observe(
+                now, reading, np.zeros(8),
+                rack_mask=None if mask is None else np.array(mask),
+            )
+            general.observe(
+                now, reading, np.zeros(8),
+                rack_mask=np.array(mask if mask is not None
+                                   else (True,) * 4),
+            )
+            probes = (now, now + dt, start + (step + 61) * dt)
             for later in probes:
                 age = fast.age_s(later)
                 assert np.float64(age).tobytes() == np.float64(

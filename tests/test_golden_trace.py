@@ -36,7 +36,7 @@ SAG_WINDOW_S = 150.0
 RECORD_EVERY = 10
 
 
-def _run(backend: str, fast_forward: bool = False, kernels: str = "numpy"):
+def _run(backend: str, kernels: str = "numpy"):
     setup = standard_setup()
     scenario = standard_scenarios()[0]
     return run_survival(
@@ -46,14 +46,11 @@ def _run(backend: str, fast_forward: bool = False, kernels: str = "numpy"):
         window_s=WINDOW_S,
         record_every=RECORD_EVERY,
         backend=backend,
-        fast_forward=fast_forward,
         kernels=kernels,
     )
 
 
-def _run_sag(
-    backend: str, fast_forward: bool = False, kernels: str = "numpy"
-):
+def _run_sag(backend: str, kernels: str = "numpy"):
     """A reserve-guarded PAD run with a targeted sag over the attack."""
     from dataclasses import replace
 
@@ -85,7 +82,6 @@ def _run_sag(
         window_s=SAG_WINDOW_S,
         record_every=RECORD_EVERY,
         backend=backend,
-        fast_forward=fast_forward,
         grid_plan=plan,
         kernels=kernels,
     )
@@ -148,51 +144,48 @@ def _assert_matches(golden: dict, summary: dict) -> None:
 
 
 BACKEND_CASES = [
-    ("scalar", False, "numpy"),
-    ("scalar", True, "numpy"),
-    ("vectorized", False, "numpy"),
-    ("vectorized", True, "numpy"),
+    ("scalar", "numpy"),
+    ("vectorized", "numpy"),
     # The stacked backend answers to the same frozen history as the
-    # per-cell pipelines (fast_forward does not apply: the cohort
-    # path manages its own quiescent freezing internally).
-    ("cohort", False, "numpy"),
+    # per-cell pipelines.
+    ("cohort", "numpy"),
     # The compiled kernel tier is a bitwise drop-in on every backend —
     # including the scalar one, where it must fall through untouched.
-    ("scalar", False, "compiled"),
-    ("vectorized", False, "compiled"),
-    ("vectorized", True, "compiled"),
-    ("cohort", False, "compiled"),
+    ("scalar", "compiled"),
+    ("vectorized", "compiled"),
+    ("cohort", "compiled"),
 ]
+#: Test ids keep their historical ``<backend>-False-<kernels>`` form
+#: (the middle field was a per-cell option that no longer exists), so
+#: recorded test selections stay valid.
+CASE_IDS = [f"{backend}-False-{kernels}" for backend, kernels in BACKEND_CASES]
 
 
-@pytest.mark.parametrize("backend,fast_forward,kernels", BACKEND_CASES)
-def test_pad_attack_matches_golden_trace(
-    backend: str, fast_forward: bool, kernels: str
-) -> None:
-    """The frozen history must hold with every fast path armed too —
-    fast-forward may only ever skip work, never move a number."""
+@pytest.mark.parametrize("backend,kernels", BACKEND_CASES, ids=CASE_IDS)
+def test_pad_attack_matches_golden_trace(backend: str, kernels: str) -> None:
+    """The frozen history holds on every backend and kernel tier."""
     if not FIXTURE.exists():
         pytest.fail(
             f"missing fixture {FIXTURE}; regenerate with "
             "`PYTHONPATH=src python -m tests.test_golden_trace`"
         )
     golden = json.loads(FIXTURE.read_text())
-    _assert_matches(golden, _summary(_run(backend, fast_forward, kernels)))
+    _assert_matches(golden, _summary(_run(backend, kernels)))
 
 
-@pytest.mark.parametrize("backend,fast_forward,kernels", BACKEND_CASES)
+@pytest.mark.parametrize("backend,kernels", BACKEND_CASES, ids=CASE_IDS)
 def test_sag_ride_through_matches_golden_trace(
-    backend: str, fast_forward: bool, kernels: str
+    backend: str, kernels: str
 ) -> None:
     """The frozen attack-during-sag history — reserve partition, grid
-    event stream included — holds on every backend and fast path."""
+    event stream included — holds on every backend and kernel tier."""
     if not SAG_FIXTURE.exists():
         pytest.fail(
             f"missing fixture {SAG_FIXTURE}; regenerate with "
             "`PYTHONPATH=src python -m tests.test_golden_trace`"
         )
     golden = json.loads(SAG_FIXTURE.read_text())
-    summary = _summary(_run_sag(backend, fast_forward, kernels))
+    summary = _summary(_run_sag(backend, kernels))
     assert golden["grid_events"], "sag fixture must freeze grid events"
     _assert_matches(golden, summary)
 

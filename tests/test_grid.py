@@ -8,7 +8,7 @@ Covers the layers of the ``repro.grid`` stack:
 * the overlap-rejection satellite shared with :class:`FaultPlan`;
 * end-to-end injection through the step pipeline (typed grid events at
   window edges, sag feed transfer, brownout derating, regulation duty
-  floors, fast-forward guards);
+  floors);
 * the :class:`ReservePolicy` battery partition (defense clamp at the
   ride-through floor, breach events, graceful degradation) and the
   preference-directed Level-3 shedding it drives.
@@ -374,25 +374,6 @@ class TestGridInjection:
         fine = [seg for seg in schedule if seg.dt == 1.0]
         assert len(fine) == 1
         assert fine[0].start_s <= 290.0 and fine[0].end_s >= 310.0
-
-    def test_fast_forward_never_leapfrogs_a_grid_window(self):
-        """FF-armed runs with a plan stay bit-identical to per-step runs."""
-        plan = GridPlan(specs=(
-            VoltageSag(start_s=120.0, end_s=200.0, depth=0.3, racks=(2,)),
-            FrequencyRegulationDuty(
-                start_s=260.0, end_s=340.0, power_w=1500.0,
-                period_s=40.0, racks=(0, 1),
-            ),
-        ))
-        plain = make_sim("PAD", util=0.45, grid_plan=plan).run(
-            duration_s=420.0, dt=1.0, record_every=1
-        )
-        fast = make_sim(
-            "PAD", util=0.45, grid_plan=plan, fast_forward=True
-        ).run(duration_s=420.0, dt=1.0, record_every=1)
-        from tests.differential import assert_results_identical
-
-        assert_results_identical("ff-grid", plain, fast)
 
 
 # ---------------------------------------------------------------------- #
